@@ -3,8 +3,9 @@
 //! Complements the `repro fig9` wall-clock comparison with statistically
 //! sound per-operation timings: context generation (Algorithm 1), the SGNS
 //! update (Eq. 6), walks, propagation-network extraction, pair extraction,
-//! Monte-Carlo spread, one EM iteration, and the atomic checkpoint write
-//! (the fault-tolerance layer's per-epoch overhead).
+//! Monte-Carlo spread, one EM iteration, the atomic checkpoint write
+//! (the fault-tolerance layer's per-epoch overhead), and the online
+//! trainer's per-episode cost across a user-count sweep.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use std::hint::black_box;
@@ -19,7 +20,7 @@ use inf2vec_diffusion::synth::{generate, SyntheticConfig, SyntheticDataset};
 use inf2vec_diffusion::{ic, Episode, PropagationNetwork};
 use inf2vec_embed::checkpoint::write_checkpoint;
 use inf2vec_embed::sgns::{FlatPairs, SgnsConfig, SgnsTrainer, TrainOptions};
-use inf2vec_embed::{EmbeddingStore, NegativeTable};
+use inf2vec_embed::{EmbeddingStore, NegativeTable, OnlineConfig, OnlineSgns};
 use inf2vec_graph::walk::{restart_walk, Node2vecWalker};
 use inf2vec_graph::NodeId;
 use inf2vec_obs::{NoopRecorder, Telemetry};
@@ -103,6 +104,47 @@ fn bench_sgns_step(c: &mut Criterion) {
             b.iter(|| black_box(trainer.train(&store, &source, &negs)))
         });
     }
+}
+
+/// `OnlineSgns::apply_episode` at n = 1K..1M users, k = 50, 400-pair
+/// episodes. Ids are drawn heavy-tailed (`n · x^2`, x uniform), as
+/// activity is in social data. The trainer is first warmed on
+/// `max(256, n / 250)` episodes, enough for nearly every row to have been
+/// drawn as a negative once: a row's lazy init is a one-time cost per
+/// user, not a per-episode one. Every iteration then applies the next
+/// episode of a 64-episode cycle, so counts and the sampler keep moving.
+/// Pairs/s = 400 / time per iteration; an O(n) step per episode would
+/// show as a cost growing with n.
+fn bench_online_apply_episode(c: &mut Criterion) {
+    const PAIRS: usize = 400;
+    let mut group = c.benchmark_group("online_apply_episode");
+    group.sample_size(10);
+    for n in [1_000u32, 10_000, 100_000, 1_000_000] {
+        let mut rng = Xoshiro256pp::new(11);
+        let mut id = || (n as f64 * rng.next_f64().powi(2)) as u32;
+        let episodes: Vec<Vec<(u32, u32)>> = (0..64)
+            .map(|_| {
+                (0..PAIRS)
+                    .map(|_| (id(), id()))
+                    .filter(|(u, v)| u != v)
+                    .collect()
+            })
+            .collect();
+        let mut online = OnlineSgns::new(n as usize, 50, OnlineConfig::default(), 3);
+        let mut seq = 0u64;
+        for _ in 0..256.max(n / 250) {
+            online.apply_episode(seq, &episodes[seq as usize % episodes.len()]);
+            seq += 1;
+        }
+        group.bench_function(format!("n{n}_k50_{PAIRS}pairs"), |b| {
+            b.iter(|| {
+                let loss = online.apply_episode(seq, &episodes[seq as usize % episodes.len()]);
+                seq += 1;
+                black_box(loss)
+            })
+        });
+    }
+    group.finish();
 }
 
 fn bench_corpus_generation(c: &mut Criterion) {
@@ -299,6 +341,7 @@ criterion_group!(
     bench_context_generation,
     bench_walks,
     bench_sgns_step,
+    bench_online_apply_episode,
     bench_corpus_generation,
     bench_checkpoint_write,
     bench_obs_overhead,

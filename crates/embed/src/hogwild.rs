@@ -111,6 +111,22 @@ impl HogwildMatrix {
         std::slice::from_raw_parts_mut(base, self.cols)
     }
 
+    /// Hints the CPU to start loading row `i` into cache. Reads and writes
+    /// nothing, so values never change.
+    #[inline]
+    pub(crate) fn prefetch_row(&self, i: usize) {
+        debug_assert!(i < self.rows);
+        // SAFETY: reads the buffer's address only, never its elements; the
+        // buffer is never reallocated after construction.
+        let base = unsafe { (*self.data.get()).as_ptr() };
+        // Wrapping: an out-of-range `i` yields a useless hint, never UB.
+        let start = base.wrapping_add(i * self.cols) as usize;
+        let end = start + self.cols * std::mem::size_of::<f32>();
+        for line in (start & !63..end).step_by(64) {
+            prefetch(line as *const u8);
+        }
+    }
+
     /// Copies the whole matrix out (for snapshots/serialization).
     pub fn to_vec(&self) -> Vec<f32> {
         // SAFETY: plain read of the payload.
@@ -166,6 +182,21 @@ pub fn axpy(a: f32, x: &[f32], y: &mut [f32]) {
 pub fn dot(x: &[f32], y: &[f32]) -> f32 {
     debug_assert_eq!(x.len(), y.len());
     x.iter().zip(y).map(|(a, b)| a * b).sum()
+}
+
+/// Hints the CPU to start loading the cache line holding `p`. A hint only:
+/// it never faults, reads nothing into Rust values, and is a no-op off
+/// x86_64.
+#[inline]
+pub(crate) fn prefetch<T>(p: *const T) {
+    #[cfg(target_arch = "x86_64")]
+    // SAFETY: a prefetch of any address is architecturally a no-fault hint.
+    unsafe {
+        use std::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
+        _mm_prefetch::<_MM_HINT_T0>(p as *const i8);
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    let _ = p;
 }
 
 #[cfg(test)]

@@ -9,7 +9,9 @@
 //!   word2vec-style parallel SGD.
 //! - [`store`]: the `EmbeddingStore` — per-node source/target vectors plus
 //!   the influence-ability and conformity biases of the paper's Definition 2.
-//! - [`negative`]: the unigram^0.75 negative-sampling table of word2vec.
+//! - [`negative`]: the unigram^0.75 negative-sampling distribution of
+//!   word2vec, as a static alias table (batch) and an incrementally
+//!   maintained Fenwick tree (online).
 //! - [`sgns`]: the skip-gram-with-negative-sampling trainer implementing the
 //!   gradient updates of the paper's Eq. 6 over any [`sgns::PairSource`],
 //!   with checkpoint/resume, divergence rollback, and panic-contained
@@ -29,7 +31,7 @@ pub mod store;
 
 pub use checkpoint::Checkpoint;
 pub use hogwild::HogwildMatrix;
-pub use negative::NegativeTable;
+pub use negative::{NegativeSampler, NegativeTable};
 pub use online::{OnlineConfig, OnlineSgns, OnlineState};
 pub use sgns::{
     DivergenceGuard, EpochState, FlatPairs, PairSource, RecoveryEvent, SgnsConfig, SgnsTrainer,

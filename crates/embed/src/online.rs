@@ -15,18 +15,30 @@
 //!   `lr / sqrt(1 + decay · updates[u])` — fresh users take full-size
 //!   steps while long-seen users anneal, the online stand-in for the
 //!   batch trainer's global schedule.
-//! - **Deterministic negative sampling.** The unigram^0.75 table is
-//!   rebuilt before each episode as a *pure function* of the journaled
-//!   context counts, and the episode RNG is derived from
-//!   `(seed, episode_seq)` alone — replaying an episode against the same
-//!   prior state reproduces every sample, gradient, and row init exactly.
+//! - **Deterministic negative sampling.** The unigram^0.75 sampler is a
+//!   [`NegativeTree`] kept current as counts move: each pair moves its
+//!   context target's weight in O(log n), and new users join in amortised
+//!   O(1). Its integer fixed-point weights and sums are a *pure function*
+//!   of the journaled context counts, so the sampler
+//!   [`OnlineSgns::from_state`] rebuilds once in O(n) at recovery equals,
+//!   node for node, the one a live trainer maintained. The episode RNG is
+//!   derived from `(seed, episode_seq)` alone, and an episode draws all
+//!   its negatives before it moves any count, so every draw samples the
+//!   pre-episode counts — replaying an episode against the same prior
+//!   state reproduces every sample, gradient, and row init exactly.
+//!
+//! An episode costs O(pairs · negatives · log n): nothing in it is linear
+//! in the number of users. At large n the remaining cost is cache misses
+//! on the rows and counters a pair touches, so each pair's are prefetched
+//! while the previous pair trains.
 
 use inf2vec_util::error::DataError;
 use inf2vec_util::rng::{split_seed, Xoshiro256pp};
 use inf2vec_util::SigmoidTable;
 
-use crate::hogwild::dot;
-use crate::negative::NegativeTable;
+use crate::hogwild::prefetch;
+use crate::negative::{NegativeSampler, NegativeTree};
+use crate::sgns::sgns_step;
 use crate::store::EmbeddingStore;
 
 /// Stream id namespacing the per-episode update RNG.
@@ -112,6 +124,9 @@ pub struct OnlineSgns {
     cfg: OnlineConfig,
     seed: u64,
     state: OnlineState,
+    /// Negative sampler over `state.ctx_counts`, kept current as counts
+    /// move (derived state: rebuilt, never journaled).
+    negatives: NegativeTree,
     sigmoid: SigmoidTable,
 }
 
@@ -120,17 +135,21 @@ impl OnlineSgns {
     pub fn new(n: usize, k: usize, cfg: OnlineConfig, seed: u64) -> Self {
         let mut state = OnlineState::fresh(n, k);
         state.store.use_bias = cfg.use_bias;
+        let negatives =
+            NegativeTree::from_counts(&state.ctx_counts).expect("all-zero counts always fit");
         Self {
             cfg,
             seed,
             state,
+            negatives,
             sigmoid: SigmoidTable::default(),
         }
     }
 
     /// Reconstructs a trainer from journaled state, validating shape
     /// coherence (a mismatched journal must fail closed, not corrupt the
-    /// model).
+    /// model), and rebuilds the negative sampler from its context counts
+    /// in O(n).
     pub fn from_state(state: OnlineState, cfg: OnlineConfig, seed: u64) -> Result<Self, DataError> {
         let n = state.store.len();
         if state.update_counts.len() != n
@@ -153,10 +172,15 @@ impl OnlineSgns {
                 line: 0,
             });
         }
+        let negatives =
+            NegativeTree::from_counts(&state.ctx_counts).map_err(|e| DataError::Invalid {
+                message: format!("online state: {e}"),
+            })?;
         Ok(Self {
             cfg,
             seed,
             state,
+            negatives,
             sigmoid: SigmoidTable::default(),
         })
     }
@@ -194,35 +218,55 @@ impl OnlineSgns {
     /// clock or batching — a crash replay grows at exactly the same
     /// episode boundaries and stays bit-identical.
     pub fn apply_episode(&mut self, episode_seq: u64, pairs: &[(u32, u32)]) -> f64 {
-        // Growth must precede the sampler build below: the negative table
-        // ranges over the post-growth row space, and that choice has to be
-        // a pure function of the (deterministic) pair stream.
+        // Growth precedes the first draw: the sampler ranges over the
+        // post-growth row space, and that choice has to be a pure function
+        // of the (deterministic) pair stream.
         if let Some(max_id) = pairs.iter().map(|&(u, v)| u.max(v)).max() {
             self.state.grow(max_id as usize + 1);
+            self.negatives.grow(self.state.store.len() as u32);
         }
-        // The sampler is a pure function of the pre-episode context
-        // counts, so recovery rebuilds exactly this table from the
-        // journal. O(n) per episode; the online n is the population the
-        // pipeline serves, not a web-scale vocabulary.
-        let negatives = if self.state.ctx_counts.iter().all(|&c| c == 0) {
-            NegativeTable::uniform(self.state.store.len() as u32)
-        } else {
-            NegativeTable::from_counts(&self.state.ctx_counts)
-        };
         let mut rng = Xoshiro256pp::new(split_seed(
             split_seed(self.seed, ONLINE_STREAM),
             episode_seq,
         ));
-        let k = self.state.store.k();
-        let mut grad = vec![0.0f32; k];
-        let mut loss = 0.0f64;
+        // Every negative is drawn up front, in pair order, from the
+        // pre-episode counts; nothing else draws from `rng`. The loop below
+        // can then move counts as it goes, and prefetch the next pair's
+        // rows: at large n they are cache misses that would otherwise stall
+        // the step one by one.
+        let per_pair = self.cfg.negatives;
+        let mut negs = Vec::with_capacity(pairs.len() * per_pair);
         for &(u, v) in pairs {
+            for _ in 0..per_pair {
+                negs.push(self.negatives.sample_excluding(u, v, &mut rng));
+            }
+        }
+        let mut grad = vec![0.0f32; self.state.store.k()];
+        let mut loss = 0.0f64;
+        for (i, &(u, v)) in pairs.iter().enumerate() {
+            let ws = &negs[i * per_pair..(i + 1) * per_pair];
+            if let Some(&(next_u, next_v)) = pairs.get(i + 1) {
+                let store = &self.state.store;
+                store.source.prefetch_row(next_u as usize);
+                store.bias_src.prefetch_row(next_u as usize);
+                prefetch(&self.state.update_counts[next_u as usize]);
+                prefetch(&self.state.ctx_counts[next_v as usize]);
+                for &x in
+                    std::iter::once(&next_v).chain(&negs[(i + 1) * per_pair..(i + 2) * per_pair])
+                {
+                    store.target.prefetch_row(x as usize);
+                    store.bias_tgt.prefetch_row(x as usize);
+                }
+            }
             let lr = self.adaptive_lr(u);
-            self.ensure_row(u);
-            self.ensure_row(v);
-            loss += self.update_pair(u, v, &negatives, lr, &mut rng, &mut grad);
+            for &x in [u, v].iter().chain(ws) {
+                self.ensure_row(x);
+            }
+            loss += sgns_step(&self.state.store, u, v, ws, lr, &self.sigmoid, &mut grad);
             self.state.update_counts[u as usize] += 1;
             self.state.ctx_counts[v as usize] += 1;
+            self.negatives
+                .set_count(v, self.state.ctx_counts[v as usize]);
         }
         self.state.episodes_applied += 1;
         self.state.pairs_applied += pairs.len() as u64;
@@ -244,103 +288,6 @@ impl OnlineSgns {
             self.state.store.init_row(u, self.seed);
             *slot = true;
         }
-    }
-
-    /// One SGNS pair update (the paper's Eq. 6 gradients, as in the batch
-    /// trainer) at the given learning rate. Negative rows are lazily
-    /// initialized as they are drawn.
-    fn update_pair(
-        &mut self,
-        u: u32,
-        v: u32,
-        negatives: &NegativeTable,
-        lr: f32,
-        rng: &mut Xoshiro256pp,
-        grad: &mut [f32],
-    ) -> f64 {
-        // Draw all negatives first so lazy row init (borrowing the state
-        // mutably) stays out of the unsafe row-borrow region below.
-        let mut negs = Vec::with_capacity(self.cfg.negatives);
-        for _ in 0..self.cfg.negatives {
-            let w = negatives.sample_excluding(u, v, rng);
-            self.ensure_row(w);
-            negs.push(w);
-        }
-
-        let store = &self.state.store;
-        let use_bias = store.use_bias;
-        grad.fill(0.0);
-        let mut bias_grad = 0.0f32;
-        let mut loss = 0.0f64;
-
-        // SAFETY (all row_mut calls below): source/target/bias matrices
-        // are distinct allocations and at most one row of each is borrowed
-        // at a time; the trainer is single-threaded over the store.
-        unsafe {
-            let su: &mut [f32] = store.source.row_mut(u as usize);
-            let b_u = if use_bias {
-                store.bias_src.row(u as usize)[0]
-            } else {
-                0.0
-            };
-
-            // Positive example v.
-            {
-                let tv: &mut [f32] = store.target.row_mut(v as usize);
-                let b_v = if use_bias {
-                    store.bias_tgt.row(v as usize)[0]
-                } else {
-                    0.0
-                };
-                let z = dot(su, tv) + b_u + b_v;
-                let sig = self.sigmoid.get(z);
-                let g = 1.0 - sig;
-                for (gi, ti) in grad.iter_mut().zip(tv.iter()) {
-                    *gi += g * ti;
-                }
-                for (ti, si) in tv.iter_mut().zip(su.iter()) {
-                    *ti += lr * g * si;
-                }
-                if use_bias {
-                    store.bias_tgt.row_mut(v as usize)[0] += lr * g;
-                }
-                bias_grad += g;
-                loss -= (sig.max(1e-7) as f64).ln();
-            }
-
-            // Negative examples.
-            for &w in &negs {
-                let tw: &mut [f32] = store.target.row_mut(w as usize);
-                let b_w = if use_bias {
-                    store.bias_tgt.row(w as usize)[0]
-                } else {
-                    0.0
-                };
-                let z = dot(su, tw) + b_u + b_w;
-                let sig = self.sigmoid.get(z);
-                let g = -sig;
-                for (gi, ti) in grad.iter_mut().zip(tw.iter()) {
-                    *gi += g * ti;
-                }
-                for (ti, si) in tw.iter_mut().zip(su.iter()) {
-                    *ti += lr * g * si;
-                }
-                if use_bias {
-                    store.bias_tgt.row_mut(w as usize)[0] += lr * g;
-                }
-                bias_grad += g;
-                loss -= ((1.0 - sig).max(1e-7) as f64).ln();
-            }
-
-            // Apply the accumulated center gradient.
-            for (si, gi) in su.iter_mut().zip(grad.iter()) {
-                *si += lr * gi;
-            }
-            if use_bias {
-                store.bias_src.row_mut(u as usize)[0] += lr * bias_grad;
-            }
-        }
-        loss
     }
 }
 
@@ -449,6 +396,19 @@ mod tests {
         let mut bad = t.state().clone();
         bad.ctx_counts.pop();
         assert!(OnlineSgns::from_state(bad, OnlineConfig::default(), 3).is_err());
+    }
+
+    #[test]
+    fn from_state_rejects_counts_the_sampler_cannot_hold() {
+        let mut bad = OnlineSgns::new(4, 4, OnlineConfig::default(), 3)
+            .state()
+            .clone();
+        bad.ctx_counts[0] = u64::MAX;
+        bad.ctx_counts[1] = 1;
+        match OnlineSgns::from_state(bad, OnlineConfig::default(), 3) {
+            Err(DataError::Invalid { message }) => assert!(message.contains("u64::MAX")),
+            other => panic!("expected a typed error, got {other:?}"),
+        }
     }
 
     #[test]

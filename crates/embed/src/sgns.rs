@@ -40,7 +40,7 @@ use inf2vec_util::SigmoidTable;
 use rand::RngCore as _;
 
 use crate::hogwild::dot;
-use crate::negative::NegativeTable;
+use crate::negative::{NegativeSampler, NegativeTable};
 use crate::store::EmbeddingStore;
 
 /// A (re-playable) stream of `(center, context)` training pairs.
@@ -645,6 +645,7 @@ impl SgnsTrainer {
         // Separate stream for negative sampling: `rng` stays with the
         // source's shuffling, keeping both deterministic.
         let mut rng_neg = Xoshiro256pp::new(rng.next_u64());
+        let mut negs = Vec::with_capacity(cfg.negatives);
 
         source.for_each_pair(epoch, shard, n_shards, rng, &mut |u, v| {
             // Learning rate: linear decay to lr_min over the whole run
@@ -657,7 +658,11 @@ impl SgnsTrainer {
                 let frac = done as f64 / total_pairs as f64;
                 (cfg.lr * (1.0 - frac as f32)).max(cfg.lr_min)
             } * lr_scale;
-            loss += self.update_pair(store, u, v, negatives, lr, &mut rng_neg, &mut grad);
+            // Drawing all negatives before the step consumes `rng_neg` in
+            // the same order as drawing each one as it is used.
+            negs.clear();
+            negs.extend((0..cfg.negatives).map(|_| negatives.sample_excluding(u, v, &mut rng_neg)));
+            loss += sgns_step(store, u, v, &negs, lr, &self.sigmoid, &mut grad);
             pairs += 1;
             local_done += 1;
             // Publish progress in batches to keep the atomic cold.
@@ -669,100 +674,78 @@ impl SgnsTrainer {
         progress.fetch_add(local_done, Ordering::Relaxed);
         (pairs, loss)
     }
+}
 
-    #[allow(clippy::too_many_arguments)]
-    /// One SGD step on pair `(u, v)` plus `cfg.negatives` sampled negatives;
-    /// returns the pair's negative log-likelihood (Eq. 4).
-    ///
-    /// Implements exactly Eq. 6:
-    /// `∂/∂S_u = (1-σ(z_v))·T_v + Σ_w (-σ(z_w))·T_w`, etc.
-    #[inline]
-    fn update_pair(
-        &self,
-        store: &EmbeddingStore,
-        u: u32,
-        v: u32,
-        negatives: &NegativeTable,
-        lr: f32,
-        rng: &mut Xoshiro256pp,
-        grad: &mut [f32],
-    ) -> f64 {
-        let use_bias = store.use_bias;
-        grad.fill(0.0);
-        let mut bias_grad = 0.0f32;
-        let mut loss = 0.0f64;
+/// One SGD step on pair `(u, v)` against the pre-drawn negatives `negs`;
+/// returns the pair's negative log-likelihood (Eq. 4). The one SGNS kernel
+/// both the batch trainer and [`crate::online::OnlineSgns`] run.
+///
+/// Implements exactly Eq. 6:
+/// `∂/∂S_u = (1-σ(z_v))·T_v + Σ_w (-σ(z_w))·T_w`, etc. `grad` is scratch
+/// space of length `k`.
+#[inline]
+pub(crate) fn sgns_step(
+    store: &EmbeddingStore,
+    u: u32,
+    v: u32,
+    negs: &[u32],
+    lr: f32,
+    sigmoid: &SigmoidTable,
+    grad: &mut [f32],
+) -> f64 {
+    let use_bias = store.use_bias;
+    grad.fill(0.0);
+    let mut bias_grad = 0.0f32;
+    let mut loss = 0.0f64;
 
-        // SAFETY (all row_mut calls below): source/target/bias matrices are
-        // distinct allocations, and within each matrix we hold at most one
-        // row borrow at a time on this thread. Cross-thread races fall under
-        // the Hogwild contract documented in `hogwild`.
-        unsafe {
-            let su: &mut [f32] = store.source.row_mut(u as usize);
-            let b_u = if use_bias {
-                store.bias_src.row(u as usize)[0]
+    // SAFETY (all row_mut calls below): source/target/bias matrices are
+    // distinct allocations, and within each matrix we hold at most one
+    // row borrow at a time on this thread. Cross-thread races fall under
+    // the Hogwild contract documented in `hogwild`.
+    unsafe {
+        let su: &mut [f32] = store.source.row_mut(u as usize);
+        let b_u = if use_bias {
+            store.bias_src.row(u as usize)[0]
+        } else {
+            0.0
+        };
+
+        // The positive example v (label 1), then the negatives (label 0).
+        for (i, &x) in std::iter::once(&v).chain(negs).enumerate() {
+            let positive = i == 0;
+            let tx: &mut [f32] = store.target.row_mut(x as usize);
+            let b_x = if use_bias {
+                store.bias_tgt.row(x as usize)[0]
             } else {
                 0.0
             };
-
-            // Positive example v.
-            {
-                let tv: &mut [f32] = store.target.row_mut(v as usize);
-                let b_v = if use_bias {
-                    store.bias_tgt.row(v as usize)[0]
-                } else {
-                    0.0
-                };
-                let z = dot(su, tv) + b_u + b_v;
-                let sig = self.sigmoid.get(z);
-                let g = 1.0 - sig; // ∂logσ(z)/∂z
-                for (gi, ti) in grad.iter_mut().zip(tv.iter()) {
-                    *gi += g * ti;
-                }
-                for (ti, si) in tv.iter_mut().zip(su.iter()) {
-                    *ti += lr * g * si;
-                }
-                if use_bias {
-                    store.bias_tgt.row_mut(v as usize)[0] += lr * g;
-                }
-                bias_grad += g;
-                loss -= (sig.max(1e-7) as f64).ln();
+            let z = dot(su, tx) + b_u + b_x;
+            let sig = sigmoid.get(z);
+            // ∂logσ(z)/∂z for the positive, ∂logσ(-z)/∂z for a negative.
+            let g = if positive { 1.0 - sig } else { -sig };
+            for (gi, ti) in grad.iter_mut().zip(tx.iter()) {
+                *gi += g * ti;
             }
-
-            // Negative examples.
-            for _ in 0..self.config.negatives {
-                let w = negatives.sample_excluding(u, v, rng);
-                let tw: &mut [f32] = store.target.row_mut(w as usize);
-                let b_w = if use_bias {
-                    store.bias_tgt.row(w as usize)[0]
-                } else {
-                    0.0
-                };
-                let z = dot(su, tw) + b_u + b_w;
-                let sig = self.sigmoid.get(z);
-                let g = -sig; // ∂logσ(-z)/∂z
-                for (gi, ti) in grad.iter_mut().zip(tw.iter()) {
-                    *gi += g * ti;
-                }
-                for (ti, si) in tw.iter_mut().zip(su.iter()) {
-                    *ti += lr * g * si;
-                }
-                if use_bias {
-                    store.bias_tgt.row_mut(w as usize)[0] += lr * g;
-                }
-                bias_grad += g;
-                loss -= ((1.0 - sig).max(1e-7) as f64).ln();
-            }
-
-            // Apply the accumulated center-word gradient.
-            for (si, gi) in su.iter_mut().zip(grad.iter()) {
-                *si += lr * gi;
+            for (ti, si) in tx.iter_mut().zip(su.iter()) {
+                *ti += lr * g * si;
             }
             if use_bias {
-                store.bias_src.row_mut(u as usize)[0] += lr * bias_grad;
+                store.bias_tgt.row_mut(x as usize)[0] += lr * g;
             }
+            bias_grad += g;
+            let p = if positive { sig } else { 1.0 - sig };
+            loss -= (p.max(1e-7) as f64).ln();
         }
-        loss
+
+        // Apply the accumulated center-word gradient.
+        for (si, gi) in su.iter_mut().zip(grad.iter()) {
+            *si += lr * gi;
+        }
+        if use_bias {
+            store.bias_src.row_mut(u as usize)[0] += lr * bias_grad;
+        }
     }
+    loss
 }
 
 #[cfg(test)]

@@ -39,10 +39,16 @@ const MAGIC: &str = "inf2vec-journal";
 /// layout change. A slot with intact checksum but a different version
 /// fails as [`PipelineError::JournalMismatch`] naming found/expected —
 /// never as a checksum-shaped mystery.
-pub const SCHEMA_VERSION: u32 = 2;
+///
+/// v3: the layout is v2's, but the online trainer now draws negatives from
+/// an incrementally maintained Fenwick tree instead of a per-episode alias
+/// table, so the same journaled counts yield a different random stream. A
+/// v2 slot replayed by this build would train a different model than the
+/// one it journaled; it fails typed instead.
+pub const SCHEMA_VERSION: u32 = 3;
 
 /// Journal format tag; bump [`SCHEMA_VERSION`] on any incompatible change.
-const HEADER: &str = "inf2vec-journal v2";
+const HEADER: &str = "inf2vec-journal v3";
 
 /// One open (still-assembling) episode, in persistable form.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -509,26 +515,49 @@ mod tests {
         assert!(matches!(err, PipelineError::JournalMismatch { .. }));
     }
 
+    /// Rewrites the slot at `path` with header version `v`, re-checksummed
+    /// so the bytes are *intact*, just incompatible.
+    fn restamp_version(path: &Path, v: u32) {
+        let text = String::from_utf8(fs::read(path).unwrap()).unwrap();
+        let body_end = text.trim_end_matches('\n').rfind('\n').unwrap() + 1;
+        let body = text[..body_end].replacen(HEADER, &format!("{MAGIC} v{v}"), 1);
+        let rewritten = format!("{body}checksum {:016x}\n", fnv1a(body.as_bytes()));
+        fs::write(path, rewritten).unwrap();
+    }
+
     #[test]
     fn foreign_schema_version_fails_typed_with_found_and_expected() {
         let tmp = tmp_dir("journal-schema");
         let j = Journal::new(&tmp).unwrap();
         let path = j.write(&sample(4)).unwrap();
-        // Rewrite the slot as a future schema: bump the header version and
-        // re-checksum so the bytes are *intact*, just incompatible.
-        let text = String::from_utf8(fs::read(&path).unwrap()).unwrap();
-        let body_end = text.trim_end_matches('\n').rfind('\n').unwrap() + 1;
-        let body = text[..body_end].replacen("inf2vec-journal v2", "inf2vec-journal v9", 1);
-        let rewritten = format!("{body}checksum {:016x}\n", fnv1a(body.as_bytes()));
-        fs::write(&path, rewritten).unwrap();
+        restamp_version(&path, 9);
 
         let err = j.load_latest().unwrap_err();
         match err {
             PipelineError::JournalMismatch { detail } => {
                 assert!(detail.contains("v9"), "found version named: {detail}");
-                assert!(detail.contains("v2"), "expected version named: {detail}");
+                assert!(detail.contains("v3"), "expected version named: {detail}");
             }
             other => panic!("expected JournalMismatch, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn older_schema_versions_fail_typed() {
+        // v2 has v3's layout but the old sampler's random stream: replaying
+        // it would silently train a different model.
+        for v in 0..SCHEMA_VERSION {
+            let tmp = tmp_dir(&format!("journal-schema-old-v{v}"));
+            let j = Journal::new(&tmp).unwrap();
+            let path = j.write(&sample(4)).unwrap();
+            restamp_version(&path, v);
+            match j.load_latest() {
+                Err(PipelineError::JournalMismatch { detail }) => {
+                    assert!(detail.contains(&format!("v{v}")), "{detail}");
+                }
+                other => panic!("v{v}: expected JournalMismatch, got {other:?}"),
+            }
+            let _ = fs::remove_dir_all(&tmp);
         }
     }
 
@@ -607,17 +636,11 @@ mod tests {
             /// A slot rewritten with a foreign version header (re-checksummed,
             /// so the bytes are intact) must fail typed, for any version tag.
             #[test]
-            fn any_foreign_version_is_a_typed_mismatch(v in 3u32..999) {
+            fn any_foreign_version_is_a_typed_mismatch(v in 4u32..999) {
                 let tmp = tmp_dir(&format!("journal-prop-v{v}"));
                 let j = Journal::new(&tmp).unwrap();
                 let path = j.write(&sample(4)).unwrap();
-                let text = String::from_utf8(fs::read(&path).unwrap()).unwrap();
-                let body_end = text.trim_end_matches('\n').rfind('\n').unwrap() + 1;
-                let body = text[..body_end]
-                    .replacen("inf2vec-journal v2", &format!("inf2vec-journal v{v}"), 1);
-                let rewritten =
-                    format!("{body}checksum {:016x}\n", fnv1a(body.as_bytes()));
-                fs::write(&path, rewritten).unwrap();
+                restamp_version(&path, v);
                 prop_assert!(matches!(
                     j.load_latest(),
                     Err(PipelineError::JournalMismatch { .. })

@@ -1224,9 +1224,13 @@ impl Pipeline {
                         // Bits mangled, checksum recomputed: integrity
                         // verification passes, only the gate can catch it.
                         poison_snapshot(&mut snap);
+                        // The high-water score the gate holds right now is
+                        // what the poisoned candidate must fall short of.
+                        let best = gate.as_deref().map_or(0.0, QualityGate::best);
                         cfg.telemetry.emit(
                             Event::new("pipeline.injected_poison")
-                                .u64("episodes", snap.episodes),
+                                .u64("episodes", snap.episodes)
+                                .f64("best", best),
                         );
                     }
                     if publish_admitted(&gate, &snap, &cfg, &counters) {

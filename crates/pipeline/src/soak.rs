@@ -3,7 +3,10 @@
 //! The harness plays both sides of the pipeline's contract:
 //!
 //! 1. a deterministic **traffic writer** appends chunks of synthetic
-//!    action records to the log — including scheduled garbage lines,
+//!    action records to the log — cascades that spread along the social
+//!    graph's out-edges (so a trained model beats chance on the quality
+//!    gate's edge probes, and a poisoned one falls below it), scheduled
+//!    garbage lines,
 //!    *partial* lines (a torn producer) completed by the next chunk, and
 //!    (from the second cycle on) records naming users the social graph
 //!    never enumerated, so the model's row space must grow mid-stream;
@@ -110,9 +113,19 @@ impl Default for SoakConfig {
                 publish_every_episodes: 2,
                 publish_backoff: Duration::from_millis(1),
                 publish_backoff_cap: Duration::from_millis(4),
+                // A model this small learns from a few hundred records only
+                // with a large step and contexts drawn along influence
+                // edges (the Inf2vec-L mix). It then clears the quality
+                // gate's above-chance bar before the poison strikes, so
+                // withholding the poison is a decision, not a coin flip.
+                online: inf2vec_embed::OnlineConfig {
+                    lr: 0.25,
+                    ..inf2vec_embed::OnlineConfig::default()
+                },
                 inf2vec: inf2vec_core::Inf2vecConfig {
                     k: 8,
                     l: 8,
+                    alpha: 0.875,
                     ..inf2vec_core::Inf2vecConfig::default()
                 },
                 ..PipelineConfig::default()
@@ -214,8 +227,14 @@ pub struct SoakReport {
     /// ≥ 20% of the universe appeared mid-stream and the model grew past
     /// the base graph.
     pub growth_ok: bool,
-    /// The poisoned snapshot was withheld and no poisoned version was
-    /// ever observed serving.
+    /// The lowest high-water probe score the quality gate held at the
+    /// moment a snapshot was poisoned (`None` when none was).
+    pub pre_poison_best: Option<f64>,
+    /// The poisoned snapshot was withheld, no poisoned version was ever
+    /// observed serving, and the gate was guarding a model worth guarding:
+    /// [`pre_poison_best`](Self::pre_poison_best) is at least
+    /// `0.5 + 2 · quality_budget`, so the poison's `1 - score` mirror lands
+    /// clearly below the admission bar rather than near it by chance.
     pub quality_gate_held: bool,
     /// The final incarnation's ledger.
     pub reconciliation: Reconciliation,
@@ -263,7 +282,7 @@ impl SoakReport {
                 "\"restore_verify_secs\":{:.6}}},",
                 "\"disk_budget_held\":{},\"expiry_exact\":{},\"restore_identical\":{},",
                 "\"universe\":{},\"users_midstream\":{},\"final_rows\":{},\"growth_ok\":{},",
-                "\"quality_gate_held\":{},",
+                "\"pre_poison_best\":{},\"quality_gate_held\":{},",
                 "\"records\":{{\"seen\":{},\"applied\":{},\"quarantined\":{},\"pending\":{}}},",
                 "\"episodes_applied\":{},\"pairs_applied\":{},",
                 "\"store_checksum\":\"{:016x}\",",
@@ -300,6 +319,8 @@ impl SoakReport {
             self.users_midstream,
             self.final_rows,
             self.growth_ok,
+            self.pre_poison_best
+                .map_or_else(|| "null".to_string(), |b| format!("{b:.6}")),
             self.quality_gate_held,
             r.records_seen,
             r.records_applied,
@@ -320,8 +341,18 @@ impl SoakReport {
 /// Deterministic traffic: interleaved cascades over a small item pool,
 /// garbage lines on a schedule, torn (partial) lines at chunk seams, and
 /// a user population that widens mid-stream once unlocked.
+///
+/// A cascade spreads along the social graph: each record's user is an
+/// out-neighbour of one of the item's earlier adopters, except for
+/// spontaneous adoptions (one in [`SEED_ODDS`](Self::SEED_ODDS), and every
+/// cascade's first record), which draw uniformly from the active users —
+/// the only way users outside the graph ever appear.
 struct TrafficWriter {
     rng: Xoshiro256pp,
+    graph: Arc<DiGraph>,
+    /// The (at most two) cascades still receiving records, with their
+    /// adopters so far.
+    cascades: Vec<(u32, Vec<u32>)>,
     /// Users currently eligible to appear (starts at the graph size).
     active_users: u32,
     /// The full id space (`users + extra_users`).
@@ -343,10 +374,15 @@ struct TrafficWriter {
 }
 
 impl TrafficWriter {
-    fn new(cfg: &SoakConfig) -> Self {
+    /// One record in this many is a spontaneous adoption.
+    const SEED_ODDS: u64 = 4;
+
+    fn new(cfg: &SoakConfig, graph: Arc<DiGraph>) -> Self {
         let universe = cfg.users + cfg.extra_users;
         Self {
             rng: Xoshiro256pp::new(split_seed(cfg.seed, 0x50AC)),
+            graph,
+            cascades: Vec::new(),
             active_users: cfg.users,
             universe,
             cascade_len: cfg.cascade_len.max(1),
@@ -376,6 +412,32 @@ impl TrafficWriter {
                 self.midstream += 1;
             }
         }
+    }
+
+    /// The next adopter of `item`, drawn from the traffic RNG.
+    fn next_adopter(&mut self, item: u32) -> u32 {
+        // Items only move forward, and a record lands on its group's item
+        // or the next one: older cascades are finished.
+        self.cascades.retain(|(i, _)| *i + 1 >= item);
+        let slot = match self.cascades.iter().position(|(i, _)| *i == item) {
+            Some(slot) => slot,
+            None => {
+                self.cascades.push((item, Vec::new()));
+                self.cascades.len() - 1
+            }
+        };
+        let adopters = &self.cascades[slot].1;
+        let spread_from = (!adopters.is_empty() && self.rng.below(Self::SEED_ODDS) != 0)
+            .then(|| adopters[self.rng.below(adopters.len() as u64) as usize])
+            .filter(|&u| u < self.graph.node_count());
+        let outs = spread_from.map_or(&[][..], |u| self.graph.out_neighbors(NodeId(u)));
+        let user = if outs.is_empty() {
+            self.rng.below(self.active_users as u64) as u32
+        } else {
+            outs[self.rng.below(outs.len() as u64) as usize]
+        };
+        self.cascades[slot].1.push(user);
+        user
     }
 
     fn append_chunk(
@@ -420,10 +482,10 @@ impl TrafficWriter {
             // group jitter so two cascades interleave; once the line
             // counter moves past an item's span it goes quiet and the
             // pipeline's close_after threshold can retire it.
-            let user = self.rng.below(self.active_users as u64) as u32;
-            self.mark_user(user);
             let group = self.lines / self.cascade_len as u64;
             let item = (group + self.rng.below(2)) as u32;
+            let user = self.next_adopter(item);
+            self.mark_user(user);
             if torn {
                 write!(buf, "{user} {item}")?;
                 self.partial = Some((format!(" {}", self.time), true));
@@ -573,7 +635,7 @@ pub fn run_soak(cfg: &SoakConfig, workdir: &Path) -> Result<SoakReport, Inf2vecE
     let registry = Arc::new(ModelRegistry::new(Some(pipe_cfg.inf2vec.k)));
     let sink = Arc::new(RegistrySink::new(Arc::clone(&registry)));
 
-    let mut writer = TrafficWriter::new(cfg);
+    let mut writer = TrafficWriter::new(cfg, Arc::clone(&graph));
     let min_cycles = cfg.cycles.max(4);
     let started = Instant::now();
     let mut restarts = (0u32, 0u32, 0u32);
@@ -700,9 +762,21 @@ pub fn run_soak(cfg: &SoakConfig, workdir: &Path) -> Result<SoakReport, Inf2vecE
             && final_rows > cfg.users as usize);
 
     // Quality gate: the poisoned snapshot was withheld, nothing poisoned
-    // was ever observed serving, and a model is still being served.
+    // was ever observed serving, a model is still being served, and every
+    // poisoning struck a model clearly above chance on the probes — the
+    // poison mirrors a score `s` to `1 - s`, so only then is withholding
+    // it a decision rather than a coin flip.
+    let events = mem.events();
+    let pre_poison_best = events
+        .iter()
+        .filter(|e| e.kind() == "pipeline.injected_poison")
+        .filter_map(|e| e.get("best").and_then(|v| v.as_f64()))
+        .reduce(f64::min);
     let quality_gate_held = cfg.probe_pairs == 0
-        || (publishes.2 >= 1 && !poisoned_served && registry.current().is_some());
+        || (publishes.2 >= 1
+            && !poisoned_served
+            && registry.current().is_some()
+            && pre_poison_best.is_some_and(|b| b >= 0.5 + 2.0 * pipe_cfg.quality_budget));
 
     // Cross-check the ledger against the exported gauges.
     let snap = telemetry.snapshot();
@@ -715,7 +789,6 @@ pub fn run_soak(cfg: &SoakConfig, workdir: &Path) -> Result<SoakReport, Inf2vecE
     // Causal-trace completeness: replay the teed event stream into a
     // TraceIndex and require every accepted record to reconstruct with
     // valid deterministic ids and a fate agreeing with the ledger.
-    let events = mem.events();
     let idx = crate::trace::TraceIndex::from_events(&events);
     let (indexed, applied, pending, quarantined) = idx.counts();
     let trace_complete = idx.chain_complete(cfg.seed).is_ok()
@@ -823,6 +896,7 @@ pub fn run_soak(cfg: &SoakConfig, workdir: &Path) -> Result<SoakReport, Inf2vecE
         users_midstream: writer.midstream,
         final_rows,
         growth_ok,
+        pre_poison_best,
         quality_gate_held,
         reconciliation: recon,
         balanced,
@@ -895,6 +969,18 @@ mod tests {
             report.to_json()
         );
         assert!(report.passed());
+    }
+
+    /// The default soak holds every gate on every seed — the quality gate
+    /// included, so the model under guard must clear `0.5 + 2 · budget` on
+    /// the probes before the poison strikes, not merely on lucky seeds.
+    #[test]
+    fn default_soak_holds_every_gate_across_seeds() {
+        for seed in 1..=5 {
+            let dir = tmp_dir(&format!("soak-seed-{seed}"));
+            let report = run_soak(&SoakConfig { seed, ..SoakConfig::default() }, &dir).unwrap();
+            assert!(report.passed(), "seed {seed}: {}", report.to_json());
+        }
     }
 
     /// Wall-clock mode keeps cycling against real time and still passes
