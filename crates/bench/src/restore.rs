@@ -23,7 +23,7 @@ use std::path::PathBuf;
 
 use inf2vec_ingest::{archive_dir, ArchiveStore};
 use inf2vec_util::fnv1a;
-use inf2vec_util::json::push_json_string;
+use inf2vec_util::json;
 
 use crate::common::Opts;
 use crate::die;
@@ -134,36 +134,25 @@ fn verify_json(
     store: &ArchiveStore,
     verify: &std::io::Result<inf2vec_ingest::VerifyReport>,
 ) -> String {
-    let mut json = String::from("{\n  \"archive_dir\": ");
-    push_json_string(&mut json, &store.dir().display().to_string());
-    json.push_str(",\n  \"log\": ");
-    push_json_string(&mut json, &target_log(opts).display().to_string());
-    match verify {
-        Ok(r) => {
-            json.push_str(&format!(
-                concat!(
-                    ",\n  \"ok\": true,\n",
-                    "  \"segments\": {},\n",
-                    "  \"payload_bytes\": {},\n",
-                    "  \"start\": {{\"seq\": {}, \"offset\": {}, \"line\": {}}},\n",
-                    "  \"end_offset\": {},\n",
-                    "  \"contiguous_with_live\": {}\n",
-                ),
-                r.segments,
-                r.payload_bytes,
-                r.start.seq,
-                r.start.offset,
-                r.start.line,
-                r.end_offset,
-                r.contiguous_with_live,
-            ));
+    json::object_lines(|o| {
+        o.str("archive_dir", &store.dir().display().to_string())
+            .str("log", &target_log(opts).display().to_string());
+        match verify {
+            Ok(r) => {
+                o.bool("ok", true)
+                    .num("segments", r.segments)
+                    .num("payload_bytes", r.payload_bytes)
+                    .obj("start", |o| {
+                        o.num("seq", r.start.seq)
+                            .num("offset", r.start.offset)
+                            .num("line", r.start.line);
+                    })
+                    .num("end_offset", r.end_offset)
+                    .bool("contiguous_with_live", r.contiguous_with_live);
+            }
+            Err(e) => {
+                o.bool("ok", false).str("error", &e.to_string());
+            }
         }
-        Err(e) => {
-            json.push_str(",\n  \"ok\": false,\n  \"error\": ");
-            push_json_string(&mut json, &e.to_string());
-            json.push('\n');
-        }
-    }
-    json.push_str("}\n");
-    json
+    })
 }

@@ -33,6 +33,7 @@
 
 use inf2vec_obs::{IntrospectServer, SampleValue, Telemetry};
 use inf2vec_pipeline::{pipeline_health_policy, run_soak, SoakConfig};
+use inf2vec_util::json;
 
 use crate::common::Opts;
 use crate::die;
@@ -222,58 +223,43 @@ fn bench_json(
     let publish_ms = publish_latency_secs(telemetry)
         .map(|s| s * 1e3)
         .unwrap_or(0.0);
-    format!(
-        concat!(
-            "{{\n",
-            "  \"note\": \"Continuous-learning pipeline perf trajectory from `repro soak",
-            " --soak-bench`. Wall clock covers the crash cycles plus the bit-identity",
-            " verify replay; publish latency is the mean successful install (sink call",
-            " only, no backoff); peak RSS is /proc VmHWM (0 off-Linux). Absolute numbers",
-            " are host-dependent; the invariant flags must all be true for the numbers",
-            " to count.\",\n",
-            "  \"records_processed\": {},\n",
-            "  \"wall_clock_secs\": {:.3},\n",
-            "  \"records_per_sec\": {:.1},\n",
-            "  \"publish_latency_ms_mean\": {:.4},\n",
-            "  \"peak_rss_kb\": {},\n",
-            "  \"compactions\": {},\n",
-            "  \"max_live_log_bytes\": {},\n",
-            "  \"archive_segments_sealed\": {},\n",
-            "  \"archive_segments_expired\": {},\n",
-            "  \"archive_bytes_reclaimed\": {},\n",
-            "  \"archive_bytes_dropped\": {},\n",
-            "  \"archive_segments_final\": {},\n",
-            "  \"restore_verify_secs\": {:.4},\n",
-            "  \"publishes_withheld\": {},\n",
-            "  \"final_rows\": {},\n",
-            "  \"invariants\": {{\"balanced\": {}, \"bit_identical\": {}, \"disk_bounded\": {},",
-            " \"disk_budget_held\": {}, \"expiry_exact\": {}, \"restore_identical\": {},",
-            " \"growth_ok\": {}, \"quality_gate_held\": {}, \"passed\": {}}}\n",
-            "}}\n"
-        ),
-        records,
-        wall_secs,
-        records_per_sec,
-        publish_ms,
-        peak_rss_kb(),
-        report.compactions,
-        report.max_live_log_bytes,
-        report.segments_sealed,
-        report.segments_expired,
-        report.bytes_reclaimed,
-        report.bytes_dropped,
-        report.segments_final,
-        report.restore_verify_secs,
-        report.publishes.2,
-        report.final_rows,
-        report.balanced,
-        report.bit_identical,
-        report.disk_bounded,
-        report.disk_budget_held,
-        report.expiry_exact,
-        report.restore_identical,
-        report.growth_ok,
-        report.quality_gate_held,
-        report.passed(),
-    )
+    json::object_lines(|o| {
+        o.str(
+            "note",
+            "Continuous-learning pipeline perf trajectory from `repro soak --soak-bench`. Wall \
+             clock covers the crash cycles plus the bit-identity verify replay; publish latency \
+             is the mean successful install (sink call only, no backoff); peak RSS is /proc \
+             VmHWM (0 off-Linux). Absolute numbers are host-dependent; the invariant flags \
+             must all be true for the numbers to count.",
+        )
+        .num("records_processed", records)
+        .num("wall_clock_secs", format_args!("{wall_secs:.3}"))
+        .num("records_per_sec", format_args!("{records_per_sec:.1}"))
+        .num("publish_latency_ms_mean", format_args!("{publish_ms:.4}"))
+        .num("peak_rss_kb", peak_rss_kb())
+        .num("compactions", report.compactions)
+        .num("max_live_log_bytes", report.max_live_log_bytes)
+        .num("archive_segments_sealed", report.segments_sealed)
+        .num("archive_segments_expired", report.segments_expired)
+        .num("archive_bytes_reclaimed", report.bytes_reclaimed)
+        .num("archive_bytes_dropped", report.bytes_dropped)
+        .num("archive_segments_final", report.segments_final)
+        .num(
+            "restore_verify_secs",
+            format_args!("{:.4}", report.restore_verify_secs),
+        )
+        .num("publishes_withheld", report.publishes.2)
+        .num("final_rows", report.final_rows)
+        .obj("invariants", |o| {
+            o.bool("balanced", report.balanced)
+                .bool("bit_identical", report.bit_identical)
+                .bool("disk_bounded", report.disk_bounded)
+                .bool("disk_budget_held", report.disk_budget_held)
+                .bool("expiry_exact", report.expiry_exact)
+                .bool("restore_identical", report.restore_identical)
+                .bool("growth_ok", report.growth_ok)
+                .bool("quality_gate_held", report.quality_gate_held)
+                .bool("passed", report.passed());
+        });
+    })
 }

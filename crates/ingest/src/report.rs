@@ -5,6 +5,7 @@ use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
 use inf2vec_util::error::DefectKind;
+use inf2vec_util::json::{self, ObjectWriter};
 
 /// What happened to a defective record.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -145,47 +146,46 @@ impl IngestReport {
     /// One JSON object (no trailing newline): scalar totals, a `defects`
     /// map keyed by kind name, and a `samples` array.
     pub fn to_json(&self) -> String {
-        let mut s = String::with_capacity(256 + self.samples.len() * 64);
-        s.push('{');
-        push_str_field(&mut s, "stream", self.stream, true);
-        push_str_field(&mut s, "policy", self.policy, false);
-        push_u64_field(&mut s, "lines", self.lines);
-        push_u64_field(&mut s, "records", self.records);
-        push_u64_field(&mut s, "records_ok", self.records_ok);
-        push_u64_field(&mut s, "quarantined", self.quarantined);
-        push_u64_field(&mut s, "repaired", self.repaired);
-        push_u64_field(&mut s, "normalized", self.normalized);
-        push_u64_field(&mut s, "bytes", self.bytes);
-        let _ = write!(s, ",\"elapsed_secs\":{:?}", self.elapsed_secs);
-        let _ = write!(s, ",\"records_per_sec\":{:?}", self.records_per_sec());
-        let _ = write!(s, ",\"bytes_per_sec\":{:?}", self.bytes_per_sec());
-        s.push_str(",\"defects\":{");
-        for (i, (kind, n)) in self.counts().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            push_json_string(&mut s, kind.name());
-            let _ = write!(s, ":{n}");
-        }
-        s.push_str("},\"samples\":[");
-        for (i, sample) in self.samples.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            s.push('{');
-            push_str_field(&mut s, "kind", sample.kind.name(), true);
-            push_u64_field(&mut s, "line", sample.line);
-            let disposition = match sample.disposition {
-                Disposition::Normalized => "normalized",
-                Disposition::Repaired => "repaired",
-                Disposition::Quarantined => "quarantined",
-            };
-            push_str_field(&mut s, "disposition", disposition, false);
-            push_str_field(&mut s, "content", &sample.content, false);
-            s.push('}');
-        }
-        s.push_str("]}");
-        s
+        json::object(|o| self.write_json(o))
+    }
+
+    /// Writes the members of [`to_json`](Self::to_json) into `o`.
+    pub(crate) fn write_json(&self, o: &mut ObjectWriter<'_>) {
+        o.str("stream", self.stream)
+            .str("policy", self.policy)
+            .num("lines", self.lines)
+            .num("records", self.records)
+            .num("records_ok", self.records_ok)
+            .num("quarantined", self.quarantined)
+            .num("repaired", self.repaired)
+            .num("normalized", self.normalized)
+            .num("bytes", self.bytes)
+            .num("elapsed_secs", format_args!("{:?}", self.elapsed_secs))
+            .num(
+                "records_per_sec",
+                format_args!("{:?}", self.records_per_sec()),
+            )
+            .num("bytes_per_sec", format_args!("{:?}", self.bytes_per_sec()))
+            .obj("defects", |o| {
+                for (kind, n) in self.counts() {
+                    o.num(kind.name(), n);
+                }
+            })
+            .arr("samples", |a| {
+                for sample in &self.samples {
+                    let disposition = match sample.disposition {
+                        Disposition::Normalized => "normalized",
+                        Disposition::Repaired => "repaired",
+                        Disposition::Quarantined => "quarantined",
+                    };
+                    a.obj(|o| {
+                        o.str("kind", sample.kind.name())
+                            .num("line", sample.line)
+                            .str("disposition", disposition)
+                            .str("content", &sample.content);
+                    });
+                }
+            });
     }
 
     /// A short human-readable summary, one line per populated defect kind.
@@ -226,26 +226,6 @@ fn truncate_sample(content: &str) -> String {
         s.push('…');
         s
     }
-}
-
-// The JSON string escaping lives in `inf2vec-util` so every hand-rolled
-// JSON writer in the workspace (this report, the serve chaos report)
-// shares one implementation; re-exported for the sibling modules.
-pub(crate) use inf2vec_util::json::push_json_string;
-
-fn push_str_field(out: &mut String, key: &str, v: &str, first: bool) {
-    if !first {
-        out.push(',');
-    }
-    push_json_string(out, key);
-    out.push(':');
-    push_json_string(out, v);
-}
-
-fn push_u64_field(out: &mut String, key: &str, v: u64) {
-    out.push(',');
-    push_json_string(out, key);
-    let _ = write!(out, ":{v}");
 }
 
 #[cfg(test)]

@@ -6,6 +6,7 @@ use std::path::Path;
 
 use inf2vec_diffusion::Dataset;
 use inf2vec_util::error::IngestError;
+use inf2vec_util::json;
 
 use crate::actions::ingest_actions;
 use crate::edges::ingest_edges;
@@ -45,22 +46,15 @@ impl ValidatedDataset {
 
     /// One JSON object: dataset shape plus both stream reports.
     pub fn to_json(&self) -> String {
-        let mut s = String::with_capacity(512);
-        s.push_str("{\"name\":");
-        crate::report::push_json_string(&mut s, &self.dataset.name);
-        s.push_str(&format!(
-            ",\"nodes\":{},\"edges\":{},\"episodes\":{},\"actions\":{}",
-            self.dataset.graph.node_count(),
-            self.dataset.graph.edge_count(),
-            self.dataset.log.len(),
-            self.dataset.log.action_count(),
-        ));
-        s.push_str(",\"edges_report\":");
-        s.push_str(&self.edges.to_json());
-        s.push_str(",\"actions_report\":");
-        s.push_str(&self.actions.to_json());
-        s.push('}');
-        s
+        json::object(|o| {
+            o.str("name", &self.dataset.name)
+                .num("nodes", self.dataset.graph.node_count())
+                .num("edges", self.dataset.graph.edge_count())
+                .num("episodes", self.dataset.log.len())
+                .num("actions", self.dataset.log.action_count())
+                .obj("edges_report", |o| self.edges.write_json(o))
+                .obj("actions_report", |o| self.actions.write_json(o));
+        })
     }
 
     /// Human-readable two-stream summary.

@@ -17,6 +17,7 @@ use std::fmt;
 use std::sync::Mutex;
 use std::time::Duration;
 
+use inf2vec_util::json;
 use inf2vec_util::SharedClock;
 
 use crate::registry::{SampleValue, Snapshot};
@@ -167,40 +168,32 @@ pub struct HealthReport {
 impl HealthReport {
     /// Serializes the report as one JSON object.
     pub fn to_json(&self) -> String {
-        let mut out = String::with_capacity(128 + self.checks.len() * 96);
-        out.push_str("{\"state\":\"");
-        out.push_str(self.state.as_str());
-        out.push_str("\",\"window_secs\":");
-        out.push_str(&format_f64(self.window_secs));
-        out.push_str(",\"checks\":[");
-        for (i, c) in self.checks.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str("{\"name\":");
-            crate::event::write_json_string(&mut out, &c.name);
-            out.push_str(",\"state\":\"");
-            out.push_str(c.state.as_str());
-            out.push_str("\",\"value\":");
-            out.push_str(&format_f64(c.value));
-            out.push_str(",\"detail\":");
-            crate::event::write_json_string(&mut out, &c.detail);
-            out.push('}');
-        }
-        out.push_str("]}");
-        out
+        json::object(|o| {
+            o.str("state", self.state.as_str())
+                .num("window_secs", number(self.window_secs))
+                .arr("checks", |a| {
+                    for c in &self.checks {
+                        a.obj(|o| {
+                            o.str("name", &c.name)
+                                .str("state", c.state.as_str())
+                                .num("value", number(c.value))
+                                .str("detail", &c.detail);
+                        });
+                    }
+                });
+        })
     }
 }
 
-fn format_f64(v: f64) -> String {
-    if !v.is_finite() {
-        return "null".to_string();
-    }
-    if v == v.trunc() && v.abs() < 1e15 {
+/// Integral values without a fraction (`20`), others in shortest
+/// round-trip form, non-finite as `null`.
+fn number(v: f64) -> impl fmt::Display {
+    let text = if v == v.trunc() && v.abs() < 1e15 {
         format!("{v}")
     } else {
         format!("{v:?}")
-    }
+    };
+    json::finite_or_null(v, text)
 }
 
 /// Sum of every counter sample named `name`, across all label sets.

@@ -60,7 +60,7 @@ mod ring;
 mod span;
 pub mod trace;
 
-pub use event::{Event, ParseError, Value};
+pub use event::{Event, Value};
 pub use health::{Check, HealthEvaluator, HealthPolicy, HealthReport, HealthState, Rule, Signal};
 pub use http::IntrospectServer;
 pub use http1::{Connection, Head, Http1Config, IdleBackoff, ReadError, Request};

@@ -10,8 +10,8 @@ use inf2vec_obs::Telemetry;
 ///
 /// The determinism-relevant knobs are `close_after`, `online`, `inf2vec`,
 /// and `seed`: together with the action-log bytes they fully determine the
-/// final model state. The remaining knobs (batching, channel capacity,
-/// publish cadence, backoff) shape *where* work happens, never *what* the
+/// final model state. The remaining knobs (batching, publish cadence,
+/// backoff) shape *where* work happens, never *what* the
 /// result is — a crash and journal replay under any of them reconverges
 /// bit-identically.
 #[derive(Debug, Clone)]
@@ -22,16 +22,11 @@ pub struct PipelineConfig {
     pub close_after: u64,
     /// Max records consumed per tail poll.
     pub batch_max: usize,
-    /// Bounded tail→train channel capacity (backpressure: a slow trainer
-    /// blocks the tailer instead of growing a queue).
-    pub channel_capacity: usize,
     /// Consecutive empty tail polls that count as "caught up" for
     /// [`Pipeline::run_until_idle`](crate::Pipeline::run_until_idle).
     pub idle_polls: u32,
     /// Tailer sleep between empty polls.
     pub poll_interval: Duration,
-    /// Write the progress journal every N applied batches (1 = always).
-    pub journal_every_batches: u32,
     /// Offer a snapshot to the publisher every N closed episodes.
     pub publish_every_episodes: u64,
     /// Publish retry attempts before giving the snapshot up.
@@ -58,8 +53,7 @@ pub struct PipelineConfig {
     /// Seal each compacted prefix into the segmented archive store
     /// (`<log>.archive.d/`), so `archive ++ live payload` reconstructs
     /// the full logical stream (what a from-scratch bit-identity replay
-    /// needs). A legacy monolithic `<log>.archive` file is imported as
-    /// segment 0 on first use.
+    /// needs).
     pub archive_compacted: bool,
     /// Retained archive payload budget in bytes: expiry drops the oldest
     /// segments while the retained total exceeds this (`0` = unlimited).
@@ -77,8 +71,6 @@ pub struct PipelineConfig {
     /// before that write degrades (training continues, the write is
     /// skipped until the next boundary).
     pub disk_max_attempts: u32,
-    /// Backoff between disk-write retry attempts; doubles per attempt.
-    pub disk_retry_backoff: Duration,
     /// Export every successfully published snapshot to this directory
     /// (atomic write + checksum sidecar). `None` disables export.
     pub snapshot_dir: Option<std::path::PathBuf>,
@@ -102,10 +94,8 @@ impl Default for PipelineConfig {
         Self {
             close_after: 64,
             batch_max: 256,
-            channel_capacity: 4,
             idle_polls: 2,
             poll_interval: Duration::from_millis(1),
-            journal_every_batches: 1,
             publish_every_episodes: 8,
             publish_max_attempts: 4,
             publish_backoff: Duration::from_millis(10),
@@ -118,7 +108,6 @@ impl Default for PipelineConfig {
             archive_max_segments: 0,
             archive_max_age: None,
             disk_max_attempts: 3,
-            disk_retry_backoff: Duration::from_millis(2),
             snapshot_dir: None,
             probe_pairs: 0,
             quality_budget: 0.05,

@@ -56,7 +56,7 @@ pub use faults::FaultPlan;
 pub use journal::{Journal, JournalState, OpenItemState};
 pub use publish::{CountingSink, PublishSink, RegistrySink, Snapshot};
 pub use quality::{ProbeSet, QualityGate};
-pub use runner::{archive_path, ArchiveCounters, Pipeline, Reconciliation};
+pub use runner::{ArchiveCounters, Pipeline, Reconciliation};
 pub use soak::{run_soak, SoakConfig, SoakReport};
 pub use trace::{RecordFate, RecordTrace, TraceIndex};
 

@@ -41,12 +41,14 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{sync_channel, Receiver, SyncSender, TrySendError};
 use std::sync::Arc;
 use std::thread::JoinHandle;
+use std::time::Duration;
 
 use inf2vec_diffusion::{Episode, ItemId};
 use inf2vec_embed::{EmbeddingStore, OnlineSgns};
 use inf2vec_graph::{DiGraph, NodeId};
 use inf2vec_ingest::{
-    compact_to_with, sentinel_base, ArchiveStore, LogTail, RetentionPolicy, TailItem, TailPosition,
+    archive_dir, compact_to_with, sentinel_base, ArchiveStore, LogTail, RetentionPolicy, TailItem,
+    TailPosition,
 };
 use inf2vec_obs::{Event, TraceCtx};
 use inf2vec_serve::store_checksum;
@@ -60,6 +62,13 @@ use crate::publish::{
     export_snapshot, poison_snapshot, publish_with_retry, PublishCounters, PublishSink, Snapshot,
 };
 use crate::quality::{ProbeSet, QualityGate};
+
+/// Bounded tail→train channel capacity, in batches (backpressure: a slow
+/// trainer blocks the tailer instead of growing a queue).
+const CHANNEL_CAPACITY: usize = 4;
+
+/// First backoff between disk-write retry attempts; doubles per attempt.
+const DISK_RETRY_BACKOFF: Duration = Duration::from_millis(2);
 
 /// What the tailer sends the trainer.
 enum TailMsg {
@@ -464,7 +473,6 @@ pub struct Pipeline {
     publisher: Option<PublisherHandle>,
     counters: Arc<PublishCounters>,
     snapshots_offered: u64,
-    batches_since_journal: u32,
     last_publish_episode: u64,
     tailer_restarts: u32,
     trainer_restarts: u32,
@@ -571,7 +579,6 @@ impl Pipeline {
             publisher: None,
             counters: Arc::new(PublishCounters::default()),
             snapshots_offered: 0,
-            batches_since_journal: 0,
             last_publish_episode,
             tailer_restarts: 0,
             trainer_restarts: 0,
@@ -616,10 +623,7 @@ impl Pipeline {
         }));
         match result {
             Ok(()) => {
-                self.batches_since_journal += 1;
-                if self.batches_since_journal >= self.cfg.journal_every_batches.max(1) {
-                    self.write_journal()?;
-                }
+                self.write_journal()?;
                 self.maybe_publish()
             }
             Err(payload) => self.recover_trainer(panic_message(payload)),
@@ -659,7 +663,6 @@ impl Pipeline {
             Trainer::from_journal(loaded, &self.cfg, n, self.universe, self.cfg.inf2vec.k)?;
         self.trainer = trainer;
         self.round = round;
-        self.batches_since_journal = 0;
         self.last_publish_episode = self.trainer.online.episodes_applied();
         self.tailer = None; // join the old tailer, discard its channel
         self.ensure_tailer();
@@ -766,7 +769,7 @@ impl Pipeline {
     fn write_journal(&mut self) -> Result<(), Inf2vecError> {
         let state = self.trainer.to_state(self.round);
         let max_attempts = self.cfg.disk_max_attempts.max(1);
-        let mut backoff = self.cfg.disk_retry_backoff;
+        let mut backoff = DISK_RETRY_BACKOFF;
         let mut written = None;
         for attempt in 1..=max_attempts {
             let inject = self.faults.tick_journal_attempt().then_some(64);
@@ -798,11 +801,9 @@ impl Pipeline {
             self.cfg
                 .telemetry
                 .count("inf2vec_pipeline_journal_writes_skipped_total", 1);
-            self.batches_since_journal = 0;
             return Ok(());
         };
         self.round += 1;
-        self.batches_since_journal = 0;
         self.cfg
             .telemetry
             .count("inf2vec_pipeline_journal_writes_total", 1);
@@ -916,7 +917,7 @@ impl Pipeline {
     fn seal_archive(&mut self, upto: TailPosition) -> bool {
         let now_ms = self.clock.now().as_millis() as u64;
         if self.archive.is_none() {
-            match ArchiveStore::open_for_log(&self.log_path, now_ms) {
+            match ArchiveStore::open(archive_dir(&self.log_path)) {
                 Ok(store) => self.archive = Some(store),
                 Err(e) => {
                     self.cfg
@@ -971,7 +972,7 @@ impl Pipeline {
             }
         }
         let max_attempts = self.cfg.disk_max_attempts.max(1);
-        let mut backoff = self.cfg.disk_retry_backoff;
+        let mut backoff = DISK_RETRY_BACKOFF;
         for attempt in 1..=max_attempts {
             let inject = self.faults.tick_archive_seal_attempt().then_some(48);
             match store.seal_from_log(&self.log_path, upto, now_ms, inject) {
@@ -1070,7 +1071,7 @@ impl Pipeline {
         };
         let now_ms = self.clock.now().as_millis() as u64;
         let max_attempts = self.cfg.disk_max_attempts.max(1);
-        let mut backoff = self.cfg.disk_retry_backoff;
+        let mut backoff = DISK_RETRY_BACKOFF;
         for attempt in 1..=max_attempts {
             let inject = self.faults.tick_expiry_attempt().then_some(48);
             match store.expire(&policy, floor.offset, now_ms, inject) {
@@ -1133,7 +1134,7 @@ impl Pipeline {
         if self.tailer.is_some() {
             return;
         }
-        let (tx, rx) = sync_channel(self.cfg.channel_capacity.max(1));
+        let (tx, rx) = sync_channel(CHANNEL_CAPACITY);
         let stop = Arc::new(AtomicBool::new(false));
         let stop_flag = Arc::clone(&stop);
         let path = self.log_path.clone();
@@ -1443,16 +1444,6 @@ impl Pipeline {
     }
 }
 
-/// `<log>.archive` beside the live log — the **legacy** monolithic
-/// archive file from before the segmented store. Compaction no longer
-/// writes it; [`ArchiveStore::open_for_log`] imports and removes one on
-/// first use. Kept for tooling that needs to name the legacy file.
-pub fn archive_path(log_path: &std::path::Path) -> PathBuf {
-    let mut os = log_path.as_os_str().to_os_string();
-    os.push(".archive");
-    PathBuf::from(os)
-}
-
 /// Quality-gate admission (publisher thread). Returns `true` when the
 /// snapshot may be offered to the sink; a withheld snapshot is counted,
 /// gauged, and trace-stamped, and the registry keeps serving the last
@@ -1497,7 +1488,7 @@ fn maybe_export(snap: &Snapshot, cfg: &PipelineConfig, clock: &SharedClock, faul
     let Some(dir) = cfg.snapshot_dir.as_deref() else {
         return;
     };
-    let mut backoff = cfg.disk_retry_backoff;
+    let mut backoff = DISK_RETRY_BACKOFF;
     for attempt in 1..=cfg.disk_max_attempts.max(1) {
         let inject = faults.tick_snapshot_write().then_some(48);
         match export_snapshot(dir, snap, inject) {

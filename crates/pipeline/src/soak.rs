@@ -36,13 +36,14 @@ use inf2vec_ingest::{archive_dir, ArchiveStore};
 use inf2vec_obs::SampleValue;
 use inf2vec_serve::ModelRegistry;
 use inf2vec_util::error::Inf2vecError;
+use inf2vec_util::json::{self, OrNull};
 use inf2vec_util::rng::Xoshiro256pp;
 use inf2vec_util::{split_seed, system_clock};
 
 use crate::config::PipelineConfig;
 use crate::faults::FaultPlan;
 use crate::publish::RegistrySink;
-use crate::runner::{archive_path, ArchiveCounters, Pipeline, Reconciliation};
+use crate::runner::{ArchiveCounters, Pipeline, Reconciliation};
 
 /// Soak shape. Defaults give a few seconds of work — CI-sized.
 #[derive(Debug, Clone)]
@@ -268,73 +269,66 @@ impl SoakReport {
     /// One-object JSON rendering (CI artifact).
     pub fn to_json(&self) -> String {
         let r = &self.reconciliation;
-        format!(
-            concat!(
-                "{{\"written_good\":{},\"written_bad\":{},\"cycles\":{},",
-                "\"restarts\":{{\"tail\":{},\"train\":{},\"publish\":{}}},",
-                "\"publishes\":{{\"ok\":{},\"failed\":{},\"withheld\":{},\"skipped\":{}}},",
-                "\"versions_installed\":{},",
-                "\"compactions\":{},\"max_live_log_bytes\":{},\"log_budget_bytes\":{},",
-                "\"disk_bounded\":{},",
-                "\"archive\":{{\"segments_sealed\":{},\"segments_expired\":{},",
-                "\"bytes_reclaimed\":{},\"bytes_dropped\":{},\"segments_final\":{},",
-                "\"max_segments_observed\":{},\"max_segments_budget\":{},",
-                "\"restore_verify_secs\":{:.6}}},",
-                "\"disk_budget_held\":{},\"expiry_exact\":{},\"restore_identical\":{},",
-                "\"universe\":{},\"users_midstream\":{},\"final_rows\":{},\"growth_ok\":{},",
-                "\"pre_poison_best\":{},\"quality_gate_held\":{},",
-                "\"records\":{{\"seen\":{},\"applied\":{},\"quarantined\":{},\"pending\":{}}},",
-                "\"episodes_applied\":{},\"pairs_applied\":{},",
-                "\"store_checksum\":\"{:016x}\",",
-                "\"balanced\":{},\"gauges_consistent\":{},\"bit_identical\":{},",
-                "\"trace_complete\":{},\"passed\":{}}}"
-            ),
-            self.written_good,
-            self.written_bad,
-            self.cycles,
-            self.restarts.0,
-            self.restarts.1,
-            self.restarts.2,
-            self.publishes.0,
-            self.publishes.1,
-            self.publishes.2,
-            self.publishes.3,
-            self.versions_installed,
-            self.compactions,
-            self.max_live_log_bytes,
-            self.log_budget_bytes,
-            self.disk_bounded,
-            self.segments_sealed,
-            self.segments_expired,
-            self.bytes_reclaimed,
-            self.bytes_dropped,
-            self.segments_final,
-            self.max_archive_segments,
-            self.archive_max_segments,
-            self.restore_verify_secs,
-            self.disk_budget_held,
-            self.expiry_exact,
-            self.restore_identical,
-            self.universe,
-            self.users_midstream,
-            self.final_rows,
-            self.growth_ok,
-            self.pre_poison_best
-                .map_or_else(|| "null".to_string(), |b| format!("{b:.6}")),
-            self.quality_gate_held,
-            r.records_seen,
-            r.records_applied,
-            r.records_quarantined,
-            r.records_pending,
-            r.episodes_applied,
-            r.pairs_applied,
-            r.store_checksum,
-            self.balanced,
-            self.gauges_consistent,
-            self.bit_identical,
-            self.trace_complete,
-            self.passed(),
-        )
+        json::object(|o| {
+            o.num("written_good", self.written_good)
+                .num("written_bad", self.written_bad)
+                .num("cycles", self.cycles)
+                .obj("restarts", |o| {
+                    o.num("tail", self.restarts.0)
+                        .num("train", self.restarts.1)
+                        .num("publish", self.restarts.2);
+                })
+                .obj("publishes", |o| {
+                    o.num("ok", self.publishes.0)
+                        .num("failed", self.publishes.1)
+                        .num("withheld", self.publishes.2)
+                        .num("skipped", self.publishes.3);
+                })
+                .num("versions_installed", self.versions_installed)
+                .num("compactions", self.compactions)
+                .num("max_live_log_bytes", self.max_live_log_bytes)
+                .num("log_budget_bytes", self.log_budget_bytes)
+                .bool("disk_bounded", self.disk_bounded)
+                .obj("archive", |o| {
+                    o.num("segments_sealed", self.segments_sealed)
+                        .num("segments_expired", self.segments_expired)
+                        .num("bytes_reclaimed", self.bytes_reclaimed)
+                        .num("bytes_dropped", self.bytes_dropped)
+                        .num("segments_final", self.segments_final)
+                        .num("max_segments_observed", self.max_archive_segments)
+                        .num("max_segments_budget", self.archive_max_segments)
+                        .num(
+                            "restore_verify_secs",
+                            format_args!("{:.6}", self.restore_verify_secs),
+                        );
+                })
+                .bool("disk_budget_held", self.disk_budget_held)
+                .bool("expiry_exact", self.expiry_exact)
+                .bool("restore_identical", self.restore_identical)
+                .num("universe", self.universe)
+                .num("users_midstream", self.users_midstream)
+                .num("final_rows", self.final_rows)
+                .bool("growth_ok", self.growth_ok)
+                .num(
+                    "pre_poison_best",
+                    OrNull(self.pre_poison_best.map(|b| format!("{b:.6}"))),
+                )
+                .bool("quality_gate_held", self.quality_gate_held)
+                .obj("records", |o| {
+                    o.num("seen", r.records_seen)
+                        .num("applied", r.records_applied)
+                        .num("quarantined", r.records_quarantined)
+                        .num("pending", r.records_pending);
+                })
+                .num("episodes_applied", r.episodes_applied)
+                .num("pairs_applied", r.pairs_applied)
+                .str("store_checksum", &format!("{:016x}", r.store_checksum))
+                .bool("balanced", self.balanced)
+                .bool("gauges_consistent", self.gauges_consistent)
+                .bool("bit_identical", self.bit_identical)
+                .bool("trace_complete", self.trace_complete)
+                .bool("passed", self.passed());
+        })
     }
 }
 
@@ -594,7 +588,6 @@ pub fn run_soak(cfg: &SoakConfig, workdir: &Path) -> Result<SoakReport, Inf2vecE
     // A stale workdir would double-count traffic: start clean.
     let _ = std::fs::remove_file(&log);
     let _ = std::fs::remove_file(&shadow);
-    let _ = std::fs::remove_file(archive_path(&log));
     let _ = std::fs::remove_dir_all(archive_dir(&log));
     let _ = std::fs::remove_file(workdir.join("verify.log"));
     let _ = std::fs::remove_file(workdir.join("restored.log"));

@@ -3,8 +3,9 @@
 //! every worker-side tally **exactly** against the `inf2vec-obs`
 //! metrics.
 //!
-//! The driver walks a fixed script — good load, corrupted load, slow
-//! load (hot-swap under traffic), truncated load, a flaky streak that
+//! The driver ([`FaultScript`], which `repro serve-load` also runs under
+//! wire traffic) walks a fixed script — good load, corrupted load,
+//! slow load (hot-swap under traffic), truncated load, a flaky streak that
 //! trips the circuit breaker, a suppressed attempt while open, a
 //! half-open recovery that installs a model whose finite parameters
 //! overflow `f32` at scoring time (forcing runtime quarantine and
@@ -32,9 +33,9 @@ use std::time::{Duration, Instant};
 use inf2vec_embed::EmbeddingStore;
 use inf2vec_eval::aggregate::Aggregator;
 use inf2vec_graph::NodeId;
-use inf2vec_obs::Telemetry;
+use inf2vec_obs::{Snapshot, Telemetry};
 use inf2vec_util::faultinject::{FaultSchedule, SnapshotFault};
-use inf2vec_util::json::push_json_string;
+use inf2vec_util::json;
 use inf2vec_util::rng::{split_seed, Xoshiro256pp};
 
 use crate::admission::{AdmissionConfig, OverloadPolicy};
@@ -95,17 +96,6 @@ impl Default for ChaosConfig {
     }
 }
 
-/// What a scripted step is expected to do.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Expect {
-    Swap,
-    Fail,
-    Suppressed,
-}
-
-/// One scripted reload: (label, payload, expected checksum, fault, expectation).
-type ScriptStep<'a> = (&'a str, &'a [u8], Option<u64>, SnapshotFault, Expect);
-
 /// The result of one chaos run; see [`ChaosReport::reconciled`].
 #[derive(Debug, Clone)]
 pub struct ChaosReport {
@@ -138,36 +128,30 @@ impl ChaosReport {
 
     /// One JSON object (no trailing newline) for artifact upload.
     pub fn to_json(&self) -> String {
-        let mut s = String::with_capacity(512);
-        s.push('{');
-        let _ = write!(s, "\"requests\":{}", self.requests);
-        let _ = write!(s, ",\"reconciled\":{}", self.reconciled());
-        let _ = write!(s, ",\"bad_values\":{}", self.bad_values);
-        let _ = write!(
-            s,
-            ",\"swaps_ok\":{},\"swaps_failed\":{},\"suppressed\":{},\"quarantined\":{}",
-            self.swaps_ok, self.swaps_failed, self.suppressed, self.quarantined
-        );
-        for (key, map) in [("tallies", &self.tallies), ("metrics", &self.metric_requests)] {
-            let _ = write!(s, ",\"{key}\":{{");
-            for (i, (k, v)) in map.iter().enumerate() {
-                if i > 0 {
-                    s.push(',');
-                }
-                push_json_string(&mut s, k);
-                let _ = write!(s, ":{v}");
-            }
-            s.push('}');
-        }
-        s.push_str(",\"mismatches\":[");
-        for (i, m) in self.mismatches.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            push_json_string(&mut s, m);
-        }
-        s.push_str("]}");
-        s
+        json::object(|o| {
+            o.num("requests", self.requests)
+                .bool("reconciled", self.reconciled())
+                .num("bad_values", self.bad_values)
+                .num("swaps_ok", self.swaps_ok)
+                .num("swaps_failed", self.swaps_failed)
+                .num("suppressed", self.suppressed)
+                .num("quarantined", self.quarantined)
+                .obj("tallies", |o| {
+                    for (k, v) in &self.tallies {
+                        o.num(k, v);
+                    }
+                })
+                .obj("metrics", |o| {
+                    for (k, v) in &self.metric_requests {
+                        o.num(k, v);
+                    }
+                })
+                .arr("mismatches", |a| {
+                    for m in &self.mismatches {
+                        a.str(m);
+                    }
+                });
+        })
     }
 
     /// A short human-readable summary.
@@ -223,11 +207,6 @@ pub fn run_chaos(cfg: &ChaosConfig, telemetry: Telemetry) -> ChaosReport {
         k: cfg.k.max(1),
         ..cfg.clone()
     };
-    let breaker = BreakerConfig {
-        failure_threshold: 3,
-        base_backoff: Duration::from_millis(40),
-        max_backoff: Duration::from_millis(200),
-    };
     let svc = ScoringService::new(
         ServeConfig {
             admission: AdmissionConfig {
@@ -235,7 +214,11 @@ pub fn run_chaos(cfg: &ChaosConfig, telemetry: Telemetry) -> ChaosReport {
                 max_queue: cfg.max_queue,
                 policy: cfg.policy,
             },
-            breaker,
+            breaker: BreakerConfig {
+                failure_threshold: 3,
+                base_backoff: Duration::from_millis(40),
+                max_backoff: Duration::from_millis(200),
+            },
             expect_k: Some(cfg.k),
             default_deadline: Some(Duration::from_millis(cfg.deadline_ms)),
             deadline_check_every: 16,
@@ -243,86 +226,9 @@ pub fn run_chaos(cfg: &ChaosConfig, telemetry: Telemetry) -> ChaosReport {
         telemetry,
     );
 
-    // --- payloads ---------------------------------------------------------
-    let model_a = EmbeddingStore::new(cfg.n_nodes, cfg.k, cfg.seed);
-    let model_b = EmbeddingStore::new(cfg.n_nodes, cfg.k, cfg.seed + 1);
-    // Finite parameters that overflow f32 in the dot product: validation
-    // passes, the runtime guard must catch it.
-    let overflow = EmbeddingStore::new(cfg.n_nodes, cfg.k, cfg.seed + 2);
-    for i in 0..cfg.n_nodes {
-        unsafe {
-            overflow.source.row_mut(i).fill(1e30);
-            overflow.target.row_mut(i).fill(1e30);
-        }
-    }
-    let mut bytes_a = Vec::new();
-    let mut bytes_b = Vec::new();
-    let mut bytes_ovf = Vec::new();
-    model_a.save(&mut bytes_a).expect("in-memory save");
-    model_b.save(&mut bytes_b).expect("in-memory save");
-    overflow.save(&mut bytes_ovf).expect("in-memory save");
-    let sum_a = store_checksum(&model_a);
-    let sum_b = store_checksum(&model_b);
-
-    // --- the script -------------------------------------------------------
-    // (label, payload, expected checksum, fault, expectation)
-    let script: Vec<ScriptStep> = vec![
-        ("v-good-a", &bytes_a, Some(sum_a), SnapshotFault::Clean, Expect::Swap),
-        (
-            "v-corrupt",
-            &bytes_a,
-            Some(sum_a),
-            SnapshotFault::Corrupt { period: 37 },
-            Expect::Fail,
-        ),
-        (
-            "v-good-b-slow",
-            &bytes_b,
-            Some(sum_b),
-            SnapshotFault::Slow {
-                delay_ms: 2,
-                chunk: 2048,
-            },
-            Expect::Swap,
-        ),
-        (
-            "v-truncated",
-            &bytes_a,
-            Some(sum_a),
-            SnapshotFault::Truncate {
-                limit: bytes_a.len() / 2,
-            },
-            Expect::Fail,
-        ),
-        (
-            "v-flaky-1",
-            &bytes_a,
-            Some(sum_a),
-            SnapshotFault::Flaky { fail_after: 128 },
-            Expect::Fail,
-        ),
-        (
-            "v-flaky-2",
-            &bytes_a,
-            Some(sum_a),
-            SnapshotFault::Flaky { fail_after: 128 },
-            Expect::Fail,
-        ),
-        // The third consecutive failure above tripped the breaker open;
-        // this perfectly good payload must be refused without a read.
-        ("v-suppressed", &bytes_a, Some(sum_a), SnapshotFault::Clean, Expect::Suppressed),
-        ("v-overflow", &bytes_ovf, None, SnapshotFault::Clean, Expect::Swap),
-        ("v-final-b", &bytes_b, Some(sum_b), SnapshotFault::Clean, Expect::Swap),
-    ];
-    let schedule = FaultSchedule::new(script.iter().map(|s| s.3).collect());
-
+    let script = FaultScript::new(cfg.n_nodes, cfg.k, cfg.seed);
     let stop = AtomicBool::new(false);
-    let mut mismatches: Vec<String> = Vec::new();
-    let mut swaps_ok = 0u64;
-    let mut swaps_failed = 0u64;
-    let mut suppressed = 0u64;
-
-    let worker_tallies: Vec<WorkerTally> = std::thread::scope(|scope| {
+    let (mut script, worker_tallies) = std::thread::scope(|scope| {
         let handles: Vec<_> = (0..cfg.workers)
             .map(|w| {
                 let svc = &svc;
@@ -331,50 +237,21 @@ pub fn run_chaos(cfg: &ChaosConfig, telemetry: Telemetry) -> ChaosReport {
                 scope.spawn(move || worker_loop(svc, stop, cfg, w as u64))
             })
             .collect();
-
-        // --- the driver ---------------------------------------------------
-        for (i, (label, payload, expected_sum, _fault, expect)) in script.iter().enumerate() {
-            let fault = schedule.next_fault();
-            let res = svc.reload_from_reader(label, fault.wrap(*payload), *expected_sum);
-            match (expect, &res) {
-                (Expect::Swap, Ok(_)) => swaps_ok += 1,
-                (Expect::Fail, Err(e)) if !is_suppressed(e) => swaps_failed += 1,
-                (Expect::Suppressed, Err(e)) if is_suppressed(e) => suppressed += 1,
-                (want, got) => mismatches.push(format!(
-                    "script step {i} ({label}): expected {want:?}, got {got:?}"
-                )),
-            }
-            match *label {
-                // Give the breaker's backoff time to elapse so the next
-                // step runs as a half-open probe.
-                "v-suppressed" => std::thread::sleep(breaker.base_backoff + Duration::from_millis(20)),
-                // Wait (bounded) for a worker to trip the runtime
-                // non-finite guard and quarantine the overflow model,
-                // then for at least one degraded answer to land.
-                "v-overflow" => {
-                    if !wait_until(Duration::from_secs(2), || svc.registry().current().is_none()) {
-                        mismatches.push("overflow model was never quarantined".into());
-                    }
-                    let degraded_seen = wait_until(Duration::from_secs(2), || {
-                        svc.telemetry()
-                            .snapshot()
-                            .counter_value(metrics::REQUESTS_TOTAL, &[("outcome", "degraded")])
-                            > 0
-                    });
-                    if !degraded_seen {
-                        mismatches.push("no degraded answer was served while quarantined".into());
-                    }
-                }
-                _ => std::thread::sleep(Duration::from_millis(cfg.driver_pause_ms)),
-            }
-        }
+        let script = script.run(&svc, Duration::from_millis(cfg.driver_pause_ms));
         // Let the restored model serve a little, then stop the workers.
         std::thread::sleep(Duration::from_millis(10));
         stop.store(true, Ordering::SeqCst);
-        handles.into_iter().map(|h| h.join().expect("worker panicked")).collect()
+        let tallies: Vec<WorkerTally> = handles
+            .into_iter()
+            .map(|h| h.join().expect("worker panicked"))
+            .collect();
+        (script, tallies)
     });
 
     // --- reconciliation ---------------------------------------------------
+    let snap = svc.telemetry().snapshot();
+    let quarantined = script.reconcile(&snap, 0);
+    let mut mismatches = script.mismatches;
     let mut tallies: BTreeMap<String, u64> = BTreeMap::new();
     let mut requests = 0u64;
     let mut bad_values = 0u64;
@@ -385,7 +262,6 @@ pub fn run_chaos(cfg: &ChaosConfig, telemetry: Telemetry) -> ChaosReport {
             *tallies.entry((*k).to_string()).or_insert(0) += v;
         }
     }
-    let snap = svc.telemetry().snapshot();
     let mut metric_requests: BTreeMap<String, u64> = BTreeMap::new();
     for outcome in OUTCOMES {
         let n = snap.counter_value(metrics::REQUESTS_TOTAL, &[("outcome", outcome)]);
@@ -411,22 +287,6 @@ pub fn run_chaos(cfg: &ChaosConfig, telemetry: Telemetry) -> ChaosReport {
             "{bad_values} successful answers carried NaN or an unexpected non-finite score"
         ));
     }
-    for (name, want, what) in [
-        (metrics::SWAP_TOTAL, swaps_ok, "successful swaps"),
-        (metrics::SWAP_FAILED_TOTAL, swaps_failed, "failed loads"),
-        (metrics::BREAKER_SUPPRESSED_TOTAL, suppressed, "suppressed reloads"),
-    ] {
-        let got = snap.counter_value(name, &[]);
-        if got != want {
-            mismatches.push(format!("{what}: driver saw {want}, metric {name} says {got}"));
-        }
-    }
-    let quarantined = snap.counter_value(metrics::QUARANTINED_TOTAL, &[]);
-    if quarantined != 1 {
-        mismatches.push(format!(
-            "expected exactly 1 quarantined version, metrics say {quarantined}"
-        ));
-    }
     for (dedicated, outcome) in [
         (metrics::SHED_TOTAL, "shed"),
         (metrics::DEADLINE_MISS_TOTAL, "deadline_exceeded"),
@@ -440,14 +300,6 @@ pub fn run_chaos(cfg: &ChaosConfig, telemetry: Telemetry) -> ChaosReport {
             ));
         }
     }
-    if schedule.consumed() != schedule.len() {
-        mismatches.push(format!(
-            "fault schedule: consumed {} of {} scripted steps",
-            schedule.consumed(),
-            schedule.len()
-        ));
-    }
-
     // Postmortem artifact: the most recent events (swaps, failures,
     // breaker transitions) as the flight ring saw them.
     if let Some(path) = &cfg.flight_dump {
@@ -460,12 +312,260 @@ pub fn run_chaos(cfg: &ChaosConfig, telemetry: Telemetry) -> ChaosReport {
         requests,
         tallies,
         metric_requests,
-        swaps_ok,
-        swaps_failed,
-        suppressed,
+        swaps_ok: script.swaps_ok,
+        swaps_failed: script.swaps_failed,
+        suppressed: script.suppressed,
         quarantined,
         bad_values,
         mismatches,
+    }
+}
+
+/// Driver-side counts from one pass over a [`FaultScript`].
+#[derive(Debug, Default)]
+pub struct FaultScriptTally {
+    /// Reloads that swapped a model in.
+    pub swaps_ok: u64,
+    /// Reloads that failed (not counting suppressed ones).
+    pub swaps_failed: u64,
+    /// Reloads the open breaker refused.
+    pub suppressed: u64,
+    /// Every step that did not have its expected effect, human-readable.
+    pub mismatches: Vec<String>,
+}
+
+impl FaultScriptTally {
+    /// Checks the driver's counts against `snap`: swaps (plus the
+    /// `prior_swaps` installed before the script ran), failed loads and
+    /// suppressed reloads must equal their metrics, and exactly one
+    /// version must have been quarantined. Failures land in
+    /// `mismatches`; returns the quarantined-version count.
+    pub fn reconcile(&mut self, snap: &Snapshot, prior_swaps: u64) -> u64 {
+        for (name, want, what) in [
+            (
+                metrics::SWAP_TOTAL,
+                self.swaps_ok + prior_swaps,
+                "successful swaps",
+            ),
+            (
+                metrics::SWAP_FAILED_TOTAL,
+                self.swaps_failed,
+                "failed loads",
+            ),
+            (
+                metrics::BREAKER_SUPPRESSED_TOTAL,
+                self.suppressed,
+                "suppressed reloads",
+            ),
+        ] {
+            let got = snap.counter_value(name, &[]);
+            if got != want {
+                self.mismatches.push(format!(
+                    "{what}: driver saw {want}, metric {name} says {got}"
+                ));
+            }
+        }
+        let quarantined = snap.counter_value(metrics::QUARANTINED_TOTAL, &[]);
+        if quarantined != 1 {
+            self.mismatches.push(format!(
+                "expected exactly 1 quarantined version, metrics say {quarantined}"
+            ));
+        }
+        quarantined
+    }
+}
+
+/// What a scripted step is expected to do.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Expect {
+    Swap,
+    Fail,
+    Suppressed,
+}
+
+/// One scripted reload: (label, payload, expected checksum, fault, expectation).
+type ScriptStep<'a> = (&'a str, &'a [u8], Option<u64>, SnapshotFault, Expect);
+
+/// The nine-step snapshot-fault script: good swap, corrupted load, slow
+/// swap, truncated load, a flaky streak that trips the breaker, a reload
+/// the open breaker suppresses, an overflow model that traffic must get
+/// quarantined at runtime (degraded answers flow meanwhile), and a final
+/// good swap. [`run`](Self::run) walks it against a service that other
+/// threads send traffic to.
+#[derive(Debug)]
+pub struct FaultScript {
+    bytes_a: Vec<u8>,
+    bytes_b: Vec<u8>,
+    bytes_ovf: Vec<u8>,
+    sum_a: u64,
+    sum_b: u64,
+}
+
+impl FaultScript {
+    /// Serializes the script's `n_nodes` × `k` models, seeded from `seed`,
+    /// `seed + 1` and `seed + 2`.
+    pub fn new(n_nodes: usize, k: usize, seed: u64) -> Self {
+        let model_a = EmbeddingStore::new(n_nodes, k, seed);
+        let model_b = EmbeddingStore::new(n_nodes, k, seed + 1);
+        // Finite parameters that overflow f32 in the dot product:
+        // validation passes, the runtime guard must catch it.
+        let overflow = EmbeddingStore::new(n_nodes, k, seed + 2);
+        for i in 0..n_nodes {
+            // SAFETY: `overflow` is local to this thread and each row's
+            // borrow ends before the next is taken, so no borrows overlap.
+            unsafe {
+                overflow.source.row_mut(i).fill(1e30);
+                overflow.target.row_mut(i).fill(1e30);
+            }
+        }
+        let save = |m: &EmbeddingStore| {
+            let mut bytes = Vec::new();
+            m.save(&mut bytes).expect("in-memory save");
+            bytes
+        };
+        Self {
+            bytes_a: save(&model_a),
+            bytes_b: save(&model_b),
+            bytes_ovf: save(&overflow),
+            sum_a: store_checksum(&model_a),
+            sum_b: store_checksum(&model_b),
+        }
+    }
+
+    /// Walks the script against `svc`, sleeping `pause` after each
+    /// ordinary step. The breaker must trip after three consecutive
+    /// failures.
+    pub fn run(&self, svc: &ScoringService, pause: Duration) -> FaultScriptTally {
+        let (bytes_a, bytes_b) = (&self.bytes_a[..], &self.bytes_b[..]);
+        let (sum_a, sum_b) = (self.sum_a, self.sum_b);
+        let script: [ScriptStep; 9] = [
+            (
+                "v-good-a",
+                bytes_a,
+                Some(sum_a),
+                SnapshotFault::Clean,
+                Expect::Swap,
+            ),
+            (
+                "v-corrupt",
+                bytes_a,
+                Some(sum_a),
+                SnapshotFault::Corrupt { period: 37 },
+                Expect::Fail,
+            ),
+            (
+                "v-good-b-slow",
+                bytes_b,
+                Some(sum_b),
+                // ~4 delayed chunks: a visibly slow hot-swap under traffic
+                // without stalling the whole scripted run.
+                SnapshotFault::Slow {
+                    delay_ms: 2,
+                    chunk: bytes_b.len() / 4 + 1,
+                },
+                Expect::Swap,
+            ),
+            (
+                "v-truncated",
+                bytes_a,
+                Some(sum_a),
+                SnapshotFault::Truncate {
+                    limit: bytes_a.len() / 2,
+                },
+                Expect::Fail,
+            ),
+            (
+                "v-flaky-1",
+                bytes_a,
+                Some(sum_a),
+                SnapshotFault::Flaky { fail_after: 128 },
+                Expect::Fail,
+            ),
+            (
+                "v-flaky-2",
+                bytes_a,
+                Some(sum_a),
+                SnapshotFault::Flaky { fail_after: 128 },
+                Expect::Fail,
+            ),
+            // The third consecutive failure above tripped the breaker
+            // open; this perfectly good payload must be refused without a
+            // read.
+            (
+                "v-suppressed",
+                bytes_a,
+                Some(sum_a),
+                SnapshotFault::Clean,
+                Expect::Suppressed,
+            ),
+            (
+                "v-overflow",
+                &self.bytes_ovf,
+                None,
+                SnapshotFault::Clean,
+                Expect::Swap,
+            ),
+            (
+                "v-final-b",
+                bytes_b,
+                Some(sum_b),
+                SnapshotFault::Clean,
+                Expect::Swap,
+            ),
+        ];
+        let schedule = FaultSchedule::new(script.iter().map(|s| s.3).collect());
+        let mut tally = FaultScriptTally::default();
+        for (i, (label, payload, expected_sum, _fault, expect)) in script.iter().enumerate() {
+            let fault = schedule.next_fault();
+            let res = svc.reload_from_reader(label, fault.wrap(*payload), *expected_sum);
+            match (expect, &res) {
+                (Expect::Swap, Ok(_)) => tally.swaps_ok += 1,
+                (Expect::Fail, Err(e)) if !is_suppressed(e) => tally.swaps_failed += 1,
+                (Expect::Suppressed, Err(e)) if is_suppressed(e) => tally.suppressed += 1,
+                (want, got) => tally.mismatches.push(format!(
+                    "script step {i} ({label}): expected {want:?}, got {got:?}"
+                )),
+            }
+            match *label {
+                // Give the breaker's backoff time to elapse so the next
+                // step runs as a half-open probe.
+                "v-suppressed" => std::thread::sleep(
+                    svc.config().breaker.base_backoff + Duration::from_millis(20),
+                ),
+                // Wait (bounded) for traffic to trip the runtime non-finite
+                // guard and quarantine the overflow model, then for at least
+                // one degraded answer to land.
+                "v-overflow" => {
+                    if !wait_until(Duration::from_secs(5), || {
+                        svc.registry().current().is_none()
+                    }) {
+                        tally
+                            .mismatches
+                            .push("overflow model was never quarantined".into());
+                    }
+                    let degraded_seen = wait_until(Duration::from_secs(5), || {
+                        svc.telemetry()
+                            .snapshot()
+                            .counter_value(metrics::REQUESTS_TOTAL, &[("outcome", "degraded")])
+                            > 0
+                    });
+                    if !degraded_seen {
+                        tally
+                            .mismatches
+                            .push("no degraded answer was served while quarantined".into());
+                    }
+                }
+                _ => std::thread::sleep(pause),
+            }
+        }
+        if schedule.consumed() != schedule.len() {
+            tally.mismatches.push(format!(
+                "fault schedule: consumed {} of {} scripted steps",
+                schedule.consumed(),
+                schedule.len()
+            ));
+        }
+        tally
     }
 }
 

@@ -53,7 +53,7 @@ pub mod service;
 pub use admission::{Admission, AdmissionConfig, Deadline, OverloadPolicy};
 pub use batch::{BatchConfig, Batcher};
 pub use breaker::{BreakerConfig, BreakerState, CircuitBreaker};
-pub use chaos::{ChaosConfig, ChaosReport};
+pub use chaos::{ChaosConfig, ChaosReport, FaultScript, FaultScriptTally};
 pub use frontend::{Frontend, FrontendConfig};
 pub use registry::{
     read_checksum_sidecar, store_checksum, write_checksum_sidecar, BiasFallback, ModelRegistry,

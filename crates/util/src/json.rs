@@ -1,30 +1,34 @@
-//! Minimal JSON support shared by the workspace's hand-rolled JSON
-//! writers and the network front-end's request parser.
+//! The workspace's one JSON codec: every JSON document it writes or
+//! reads goes through this module.
 //!
-//! Several subsystems emit JSON without a serialization dependency: the
-//! ingest quarantine report (`inf2vec-ingest`), the serving layer's chaos
-//! reconciliation report (`inf2vec-serve`), and assorted bench artifacts.
-//! They all need exactly one hard part — correct string escaping — so it
-//! lives here once instead of being re-rolled (and re-bugged) per crate.
-//! (`inf2vec-obs` keeps a private copy by design: that crate is
-//! deliberately zero-dependency so it can be lifted out wholesale.)
+//! Writing: [`object`], [`write_object`] and [`object_lines`] hand a
+//! closure an [`ObjectWriter`] (and, for arrays, an [`ArrayWriter`]) that
+//! owns the punctuation, the nesting and the string escaping. Numbers are the
+//! caller's text (`impl Display`), so each document keeps its own number
+//! format: Display on the wire, `{:?}` in telemetry events, fixed
+//! decimals in bench files. JSON has no NaN or infinities; a float that
+//! may be non-finite goes through [`finite_or_null`], which writes `null`.
+//! Telemetry events are the one exception by design: they spell
+//! non-finite floats as the strings `"NaN"`, `"Infinity"` and
+//! `"-Infinity"` so that they round-trip (see `inf2vec_obs::event`).
 //!
-//! The reading side ([`Json::parse`]) exists for the serving front-end,
-//! which accepts request bodies from the network: it must turn *any*
-//! byte sequence into either a value or a typed [`JsonError`], never a
-//! panic, with recursion depth bounded so a `[[[[…` bomb cannot blow the
-//! stack. Numbers are carried as `f64` (ids in this workspace are `u32`,
-//! far inside the 2^53 exact-integer range).
+//! Reading: [`Json::parse`] turns *any* byte sequence into either a value
+//! or a typed [`JsonError`], never a panic, with recursion depth bounded
+//! so a `[[[[…` bomb cannot blow the stack; the serving front-end feeds
+//! it request bodies from the network. Integer literals stay exact
+//! ([`Json::Int`]) across the full `u64` and `i64` ranges; every other
+//! number is an `f64`.
 
-use std::fmt::Write as _;
+use std::fmt::{self, Display, Write as _};
 
-/// Appends the JSON escape of `s` (no surrounding quotes) to `out`.
+/// Appends `s` as a complete JSON string literal (quotes included) to `out`.
 ///
 /// Escapes the two mandatory characters (`"`, `\`), the common control
 /// characters by short form (`\n`, `\r`, `\t`), and every other control
 /// character as `\u00XX`. Everything else — including non-ASCII — passes
 /// through verbatim, which is valid JSON (UTF-8 wire encoding).
-pub fn escape_into(out: &mut String, s: &str) {
+pub fn push_json_string(out: &mut String, s: &str) {
+    out.push('"');
     for c in s.chars() {
         match c {
             '"' => out.push_str("\\\""),
@@ -38,12 +42,6 @@ pub fn escape_into(out: &mut String, s: &str) {
             c => out.push(c),
         }
     }
-}
-
-/// Appends `s` as a complete JSON string literal (quotes included) to `out`.
-pub fn push_json_string(out: &mut String, s: &str) {
-    out.push('"');
-    escape_into(out, s);
     out.push('"');
 }
 
@@ -52,6 +50,194 @@ pub fn json_string(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
     push_json_string(&mut out, s);
     out
+}
+
+/// A compact JSON object (`{"a":1,"b":[2,3]}`) holding the members `f`
+/// writes.
+pub fn object(f: impl FnOnce(&mut ObjectWriter<'_>)) -> String {
+    let mut out = String::new();
+    write_object(&mut out, f);
+    out
+}
+
+/// Appends a compact JSON object to `out` (for callers that reuse one
+/// buffer).
+pub fn write_object(out: &mut String, f: impl FnOnce(&mut ObjectWriter<'_>)) {
+    write_in(out, Layout::Compact, f);
+}
+
+/// A JSON object with one top-level member per line (two-space indent,
+/// `": "` and `", "` separators, nested values on their member's line)
+/// and a trailing newline: the layout of the bench files people read and
+/// diff.
+pub fn object_lines(f: impl FnOnce(&mut ObjectWriter<'_>)) -> String {
+    let mut out = String::new();
+    write_in(&mut out, Layout::Lines, f);
+    out.push('\n');
+    out
+}
+
+/// Number text for a float that may be NaN or infinite: `text` when `x`
+/// is finite, else `null`. `text` keeps the document's own format.
+pub fn finite_or_null<T: Display>(x: f64, text: T) -> OrNull<T> {
+    OrNull(x.is_finite().then_some(text))
+}
+
+/// Number text, or `null` when there is none.
+#[derive(Debug, Clone, Copy)]
+pub struct OrNull<T>(pub Option<T>);
+
+impl<T: Display> Display for OrNull<T> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match &self.0 {
+            Some(text) => text.fmt(f),
+            None => f.write_str("null"),
+        }
+    }
+}
+
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Layout {
+    /// No whitespace.
+    Compact,
+    /// One member per line; the members' values are `Spaced`.
+    Lines,
+    /// `": "` and `", "` separators on one line.
+    Spaced,
+}
+
+impl Layout {
+    fn nested(self) -> Layout {
+        match self {
+            Layout::Compact => Layout::Compact,
+            Layout::Lines | Layout::Spaced => Layout::Spaced,
+        }
+    }
+
+    fn separator(self) -> &'static str {
+        match self {
+            Layout::Compact => ",",
+            Layout::Lines => ",\n  ",
+            Layout::Spaced => ", ",
+        }
+    }
+}
+
+fn write_in(out: &mut String, layout: Layout, f: impl FnOnce(&mut ObjectWriter<'_>)) {
+    out.push('{');
+    let mut o = ObjectWriter {
+        out,
+        layout,
+        empty: true,
+    };
+    f(&mut o);
+    if layout == Layout::Lines && !o.empty {
+        o.out.push('\n');
+    }
+    o.out.push('}');
+}
+
+/// Writes the members of one JSON object; see [`object`].
+#[derive(Debug)]
+pub struct ObjectWriter<'a> {
+    out: &'a mut String,
+    layout: Layout,
+    empty: bool,
+}
+
+impl ObjectWriter<'_> {
+    fn key(&mut self, key: &str) -> &mut String {
+        if !self.empty {
+            self.out.push_str(self.layout.separator());
+        } else if self.layout == Layout::Lines {
+            self.out.push_str("\n  ");
+        }
+        self.empty = false;
+        push_json_string(self.out, key);
+        self.out.push_str(if self.layout == Layout::Compact {
+            ":"
+        } else {
+            ": "
+        });
+        self.out
+    }
+
+    /// A number member. `text` is written verbatim, so it must render as
+    /// a JSON number (or as `null`, see [`finite_or_null`]).
+    pub fn num(&mut self, key: &str, text: impl Display) -> &mut Self {
+        let _ = write!(self.key(key), "{text}");
+        self
+    }
+
+    /// A boolean member.
+    pub fn bool(&mut self, key: &str, b: bool) -> &mut Self {
+        self.num(key, b)
+    }
+
+    /// A string member.
+    pub fn str(&mut self, key: &str, s: &str) -> &mut Self {
+        push_json_string(self.key(key), s);
+        self
+    }
+
+    /// A nested object member holding the members `f` writes.
+    pub fn obj(&mut self, key: &str, f: impl FnOnce(&mut ObjectWriter<'_>)) -> &mut Self {
+        let layout = self.layout.nested();
+        write_in(self.key(key), layout, f);
+        self
+    }
+
+    /// An array member holding the elements `f` writes.
+    pub fn arr(&mut self, key: &str, f: impl FnOnce(&mut ArrayWriter<'_>)) -> &mut Self {
+        let layout = self.layout.nested();
+        let out = self.key(key);
+        out.push('[');
+        let mut a = ArrayWriter {
+            out,
+            layout,
+            empty: true,
+        };
+        f(&mut a);
+        a.out.push(']');
+        self
+    }
+}
+
+/// Writes the elements of one JSON array; see [`ObjectWriter::arr`].
+#[derive(Debug)]
+pub struct ArrayWriter<'a> {
+    out: &'a mut String,
+    layout: Layout,
+    empty: bool,
+}
+
+impl ArrayWriter<'_> {
+    fn next(&mut self) -> &mut String {
+        if !self.empty {
+            self.out.push_str(self.layout.separator());
+        }
+        self.empty = false;
+        self.out
+    }
+
+    /// A number element, written verbatim like [`ObjectWriter::num`].
+    pub fn num(&mut self, text: impl Display) -> &mut Self {
+        let _ = write!(self.next(), "{text}");
+        self
+    }
+
+    /// A string element.
+    pub fn str(&mut self, s: &str) -> &mut Self {
+        push_json_string(self.next(), s);
+        self
+    }
+
+    /// An object element holding the members `f` writes.
+    pub fn obj(&mut self, f: impl FnOnce(&mut ObjectWriter<'_>)) -> &mut Self {
+        let layout = self.layout;
+        write_in(self.next(), layout, f);
+        self
+    }
 }
 
 /// Maximum nesting depth [`Json::parse`] accepts before rejecting the
@@ -69,7 +255,10 @@ pub enum Json {
     Null,
     /// `true` / `false`.
     Bool(bool),
-    /// Any number; integers are exact up to 2^53.
+    /// An integer literal (no fraction or exponent), exact across the
+    /// full `u64` and `i64` ranges.
+    Int(i128),
+    /// Any other number.
     Num(f64),
     /// A string (escapes already decoded).
     Str(String),
@@ -126,15 +315,17 @@ impl Json {
     /// The value as an `f64`, if it is a number.
     pub fn as_f64(&self) -> Option<f64> {
         match self {
+            Json::Int(i) => Some(*i as f64),
             Json::Num(x) => Some(*x),
             _ => None,
         }
     }
 
-    /// The value as a `u64`, if it is a non-negative number with no
-    /// fractional part (within the `f64`-exact range).
+    /// The value as a `u64`, if it is a non-negative integral number
+    /// (an `f64` one only within the `f64`-exact range).
     pub fn as_u64(&self) -> Option<u64> {
         match self {
+            Json::Int(i) => u64::try_from(*i).ok(),
             Json::Num(x) if *x >= 0.0 && x.fract() == 0.0 && *x <= 9e15 => Some(*x as u64),
             _ => None,
         }
@@ -360,6 +551,7 @@ impl Parser<'_> {
             self.pos += 1;
         }
         let digits_from = self.pos;
+        let mut integral = true;
         while matches!(self.peek(), Some(b'0'..=b'9')) {
             self.pos += 1;
         }
@@ -367,6 +559,7 @@ impl Parser<'_> {
             return Err(self.err("expected digits"));
         }
         if self.peek() == Some(b'.') {
+            integral = false;
             self.pos += 1;
             let frac_from = self.pos;
             while matches!(self.peek(), Some(b'0'..=b'9')) {
@@ -377,6 +570,7 @@ impl Parser<'_> {
             }
         }
         if matches!(self.peek(), Some(b'e' | b'E')) {
+            integral = false;
             self.pos += 1;
             if matches!(self.peek(), Some(b'+' | b'-')) {
                 self.pos += 1;
@@ -389,10 +583,15 @@ impl Parser<'_> {
                 return Err(self.err("expected digits in exponent"));
             }
         }
-        // The grammar above admits only what f64::from_str accepts, and
-        // overflow parses to ±inf — reject that rather than serve it.
         let text = std::str::from_utf8(&self.bytes[start..self.pos])
             .map_err(|_| self.err("invalid UTF-8 in number"))?;
+        if integral {
+            if let Ok(i) = text.parse() {
+                return Ok(Json::Int(i));
+            }
+        }
+        // The grammar above admits only what f64::from_str accepts, and
+        // overflow parses to ±inf — reject that rather than serve it.
         let x: f64 = text.parse().map_err(|_| self.err("unparseable number"))?;
         if !x.is_finite() {
             return Err(self.err("number overflows f64"));
@@ -440,7 +639,7 @@ mod tests {
         assert_eq!(Json::parse("null").unwrap(), Json::Null);
         assert_eq!(Json::parse(" true ").unwrap(), Json::Bool(true));
         assert_eq!(Json::parse("false").unwrap(), Json::Bool(false));
-        assert_eq!(Json::parse("42").unwrap(), Json::Num(42.0));
+        assert_eq!(Json::parse("42").unwrap(), Json::Int(42));
         assert_eq!(Json::parse("-1.5e2").unwrap(), Json::Num(-150.0));
         assert_eq!(Json::parse("\"hi\"").unwrap(), Json::Str("hi".into()));
     }
@@ -521,5 +720,72 @@ mod tests {
             other => panic!("expected object, got {other:?}"),
         }
         assert_eq!(v.get("b").and_then(Json::as_u64), Some(1), "first occurrence wins");
+    }
+
+    #[test]
+    fn writer_owns_punctuation_nesting_and_escaping() {
+        let doc = object(|o| {
+            o.str("k\"ey", "v\n")
+                .num("n", 3)
+                .num("x", format_args!("{:.2}", 0.5))
+                .bool("ok", true)
+                .num("nan", finite_or_null(f64::NAN, f64::NAN))
+                .num("inf", finite_or_null(f64::INFINITY, 1))
+                .num("one", finite_or_null(1.0, 1.0))
+                .num("none", OrNull(None::<u8>))
+                .obj("empty", |_| {})
+                .arr("items", |a| {
+                    a.num(7).str("s").obj(|o| {
+                        o.num("v", 1);
+                    });
+                })
+                .arr("none", |_| {});
+        });
+        assert_eq!(
+            doc,
+            concat!(
+                r#"{"k\"ey":"v\n","n":3,"x":0.50,"ok":true,"nan":null,"inf":null,"#,
+                r#""one":1,"none":null,"empty":{},"items":[7,"s",{"v":1}],"none":[]}"#
+            )
+        );
+        assert!(Json::parse(&doc).is_ok());
+    }
+
+    #[test]
+    fn line_layout_puts_top_level_members_on_their_own_lines() {
+        let doc = object_lines(|o| {
+            o.str("a", "x").obj("b", |o| {
+                o.num("c", 1).bool("d", false);
+            });
+        });
+        assert_eq!(
+            doc,
+            "{\n  \"a\": \"x\",\n  \"b\": {\"c\": 1, \"d\": false}\n}\n"
+        );
+        assert_eq!(object_lines(|_| {}), "{}\n");
+        assert!(Json::parse(&doc).is_ok());
+    }
+
+    #[test]
+    fn integers_stay_exact_across_u64_and_i64() {
+        for (text, want) in [
+            ("18446744073709551615", u64::MAX as i128),
+            ("-9223372036854775808", i64::MIN as i128),
+            ("9007199254740993", (1i128 << 53) + 1),
+        ] {
+            assert_eq!(Json::parse(text).unwrap(), Json::Int(want));
+        }
+        assert_eq!(
+            Json::parse("18446744073709551615").unwrap().as_u64(),
+            Some(u64::MAX)
+        );
+        assert_eq!(Json::parse("-1").unwrap().as_u64(), None);
+        assert_eq!(Json::parse("-1").unwrap().as_f64(), Some(-1.0));
+        // Past i128, an integer literal is still a number, just not exact.
+        let huge = "1".repeat(40);
+        assert_eq!(
+            Json::parse(&huge).unwrap(),
+            Json::Num(huge.parse().unwrap())
+        );
     }
 }

@@ -29,10 +29,10 @@
 //! - [`faultinject`]: fault-injection writers and readers (truncation,
 //!   corruption, slowness, forced I/O errors) plus scripted fault schedules
 //!   for robustness tests; not used on production paths.
-//! - [`json`]: the shared JSON string-escaping helper behind every
-//!   hand-rolled JSON writer in the workspace (ingest reports, serve chaos
-//!   reports), plus the recursive-descent [`json::Json`] parser the HTTP
-//!   front-end and event tooling read request bodies with.
+//! - [`json`]: the workspace's one JSON codec — the object/array writer
+//!   behind every report, event, bench file and wire body, and the
+//!   recursive-descent [`json::Json`] parser for request bodies and event
+//!   logs.
 
 pub mod alias;
 pub mod ascii;
